@@ -7,9 +7,11 @@ Single run (what BENCHMARK.json's command does):
 
 Steadiness check (repeats workloads over seeds, alternating their order,
 and prints each end-to-end metric's median, quartiles and spread next to
-its bound from BENCHMARK.json):
+its bound from BENCHMARK.json; with --sets 2 it runs a second set on other
+seeds and compares the two sets' medians against the bounds too):
 
     python3 perfbench/run.py steady --workloads grid,closure --seeds 1,2,3,4,5
+    python3 perfbench/run.py steady --sets 2
 
 Smoke test of every workload at reduced sizes, untraced and traced:
 
@@ -22,6 +24,7 @@ Run from the root of a checkout. Cargo builds into $CARGO_TARGET_DIR, or
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -80,12 +83,7 @@ def run_once(args):
            "--experiments", str(experiments)]
     if args.smoke:
         cmd.append("--smoke")
-    # Pin glibc's mmap threshold at the 32 MiB its adaptive threshold grows
-    # to anyway: buffers that large always go back to the system when
-    # freed, so peak RSS follows live memory instead of which thread freed
-    # what first (the server child inherits it too).
-    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_=str(32 << 20))
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     sys.stdout.write(proc.stdout)
     sys.stdout.flush()
     if proc.returncode != 0:
@@ -100,7 +98,8 @@ def run_once(args):
 
 
 def single(workload, seed, seconds, trace, smoke=False):
-    """One run in its own process, exactly as BENCHMARK.json's command runs."""
+    """One run in its own process, exactly as BENCHMARK.json's command runs.
+    Returns its result line and the host steal share it noted (or None)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     if smoke:
@@ -109,39 +108,76 @@ def single(workload, seed, seconds, trace, smoke=False):
     if proc.returncode != 0:
         sys.stdout.write(proc.stdout)
         raise SystemExit(f"{workload} seed {seed} failed with code {proc.returncode}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    steal = re.search(r"^# host steal over the run: ([0-9.]+)", proc.stdout, re.M)
+    return json.loads(proc.stdout.strip().splitlines()[-1]), steal and float(steal[1])
 
 
-def steady(args):
-    spec = json.loads(BENCHMARK.read_text())
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+def spread(vals):
+    """(median, q1, q3, (q3 - q1) / median) as the steadiness rule takes them."""
+    med = statistics.median(vals)
+    q1, _, q3 = statistics.quantiles(vals, n=4)
+    return med, q1, q3, (q3 - q1) / med if med else float("inf")
+
+
+def run_set(workloads, seeds, seconds):
+    """One set: every workload once per seed, alternating the order."""
     values = {w: {} for w in workloads}
+    steals = {w: [] for w in workloads}
     for i, seed in enumerate(seeds):
         order = workloads if i % 2 == 0 else list(reversed(workloads))
         for w in order:
-            r = single(w, seed, seconds, 0)
+            r, steal = single(w, seed, seconds, 0)
+            steals[w].append(steal or 0.0)
             tag = "" if r["correct"] else "  INCORRECT"
             print(f"{w} seed {seed}: " + ", ".join(
-                f"{k}={v['value']:.6g}" for k, v in r["metrics"].items()) + tag, flush=True)
+                f"{k}={v['value']:.6g}" for k, v in r["metrics"].items())
+                + f"; host steal {steal}" + tag, flush=True)
             for k, v in r["metrics"].items():
                 values[w].setdefault(k, []).append(v["value"])
-    worst = 0.0
-    for w in workloads:
-        print(f"\n{w} ({len(seeds)} runs, {seconds} s each)")
-        print(f"  {'metric':<14}{'median':>14}{'q1':>14}{'q3':>14}{'spread':>9}{'bound':>7}{'/bound':>8}")
-        for k, vals in values[w].items():
-            med = statistics.median(vals)
-            q1, _, q3 = statistics.quantiles(vals, n=4)
-            spread = (q3 - q1) / med if med else float("inf")
-            ratio = spread / bounds[k]
-            if k != "setup_s":
-                worst = max(worst, ratio)
-            print(f"  {k:<14}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}{spread:>9.4f}{bounds[k]:>7}{ratio:>8.3f}")
-    print(f"\nworst spread / bound (setup_s excluded): {worst:.3f} (target below 0.333)")
-    return 0
+    return values, steals
+
+
+def steady(args):
+    """Repeat workloads over seeds and hold every end-to-end metric to its
+    bound: the spread within each set, and with --sets 2 or more the move
+    of each set's median from the first set's, in either direction."""
+    spec = json.loads(BENCHMARK.read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    seconds = args.seconds or spec["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in spec["workloads"]])
+    seeds = [int(s) for s in args.seeds.split(",")]
+    sets = []
+    worst_spread = worst_drift = 0.0
+    for k in range(args.sets):
+        set_seeds = [s + 1000 * k for s in seeds]
+        values, steals = run_set(workloads, set_seeds, seconds)
+        sets.append(values)
+        for w in workloads:
+            print(f"\nset {k + 1}, {w} ({len(seeds)} runs, {seconds} s each, seeds {set_seeds[0]}..;"
+                  f" host steal median {statistics.median(steals[w]):.3f},"
+                  f" max {max(steals[w]):.3f})")
+            print(f"  {'metric':<14}{'median':>14}{'q1':>14}{'q3':>14}{'spread':>9}{'bound':>7}{'/bound':>8}")
+            for name, vals in values[w].items():
+                med, q1, q3, sp = spread(vals)
+                worst_spread = max(worst_spread, sp / bounds[name])
+                print(f"  {name:<14}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}{sp:>9.4f}"
+                      f"{bounds[name]:>7}{sp / bounds[name]:>8.3f}")
+    for k in range(1, len(sets)):
+        for w in workloads:
+            print(f"\nset {k + 1} against set 1, {w}: median move in either direction")
+            print(f"  {'metric':<14}{'set 1':>14}{f'set {k + 1}':>14}{'move':>9}{'bound':>7}{'/bound':>8}")
+            for name in sets[0][w]:
+                a = statistics.median(sets[0][w][name])
+                b = statistics.median(sets[k][w][name])
+                move = max(b / a, a / b) - 1.0
+                worst_drift = max(worst_drift, move / bounds[name])
+                print(f"  {name:<14}{a:>14.6g}{b:>14.6g}{move:>9.4f}"
+                      f"{bounds[name]:>7}{move / bounds[name]:>8.3f}")
+    print(f"\nworst spread / bound: {worst_spread:.3f} (target below 0.333)")
+    if len(sets) > 1:
+        print(f"worst move between sets / bound: {worst_drift:.3f} (must stay below 1)")
+    return 0 if worst_spread <= 1.0 and worst_drift <= 1.0 else 1
 
 
 def smoke(args):
@@ -149,7 +185,7 @@ def smoke(args):
     check out and every declared metric must be present."""
     for w in ["grid", "serve-read", "serve-write", "closure"]:
         for trace in (0, 1):
-            r = single(w, args.seed, 2, trace, smoke=True)
+            r, _ = single(w, args.seed, 2, trace, smoke=True)
             if not r["correct"]:
                 raise SystemExit(f"smoke {w} trace {trace}: outputs failed their checks")
             print(f"smoke {w} trace {trace}: ok, {r['attempted']} checked", flush=True)
@@ -159,8 +195,11 @@ def smoke(args):
 def main():
     if len(sys.argv) > 1 and sys.argv[1] in ("steady", "smoke"):
         p = argparse.ArgumentParser(prog="run.py " + sys.argv[1])
-        p.add_argument("--workloads", default="grid,serve-read,serve-write,closure")
+        p.add_argument("--workloads", default=None,
+                       help="comma-separated; default: the workloads BENCHMARK.json declares")
         p.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
+        p.add_argument("--sets", type=int, default=1,
+                       help="sets of runs; each later set uses the seeds + 1000 x its index")
         p.add_argument("--seconds", type=float, default=None)
         p.add_argument("--seed", type=int, default=1)
         args = p.parse_args(sys.argv[2:])

@@ -2,7 +2,7 @@
 //! only workload that runs one instance on several threads and the sparse
 //! engine above 10^5 vertices.
 
-use crate::stats::{cpu_snapshot, median, peak_rss_mb, stolen_share, Report};
+use crate::stats::{cpu_snapshot, median, peak_rss_mb, Report};
 use crate::trace::Tracer;
 use crate::Size;
 use ephemeral_graph::algo::connected_components;
@@ -14,14 +14,16 @@ use ephemeral_temporal::distance::{instance_temporal_diameter, InstanceDiameter}
 use ephemeral_temporal::foremost::foremost;
 use ephemeral_temporal::metrics::{temporal_metrics, TemporalMetrics};
 use ephemeral_temporal::reachability::treach_holds;
-use ephemeral_temporal::sparse::{EngineChoice, SparseSweeper};
-use ephemeral_temporal::wide::{source_blocks, EngineKind};
+use ephemeral_temporal::sparse::{EngineChoice, FrontierRun, SparseSweeper};
+use ephemeral_temporal::wide::{source_blocks, EngineKind, FrontierEngine};
 use ephemeral_temporal::{TemporalNetwork, NEVER};
 use std::time::Instant;
 
 const THREADS: usize = 2;
-/// Set-ups timed per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Set-ups timed before the first round; one more follows every round, so
+/// the samples span the host's load over the whole run. `setup_s` is their
+/// median.
+const SETUPS: usize = 3;
 /// Sources per instance whose scalar `foremost` rows are checked.
 const ORACLE_SOURCES: usize = 8;
 
@@ -233,66 +235,83 @@ fn oracle_checks(inst: &Instances, r: &Results, seed: u64, notes: &mut Vec<Strin
     (checked, wrong)
 }
 
+/// The bucket walk of `instance_temporal_diameter` as
+/// `EngineChoice::dispatch` runs it: the dispatch picks the engine and the
+/// shard count, and each shard sweeps its `source_blocks` column block
+/// over all labels, as the diameter's per-block body does. Returns
+/// (shards, buckets visited summed over shards, arena high-water words).
+struct DiameterWalk<'a> {
+    tn: &'a TemporalNetwork,
+}
+
+impl FrontierRun for DiameterWalk<'_> {
+    type Out = (usize, usize, usize);
+
+    fn run<S: FrontierEngine>(self, shards: usize) -> Self::Out {
+        let blocks = source_blocks(self.tn.num_nodes(), shards);
+        let mut visits = 0;
+        let mut hiwater = 0;
+        for block in &blocks {
+            let stats = S::default().sweep(self.tn, block.clone(), 0, |_, _, _, _| {});
+            visits += stats.buckets_visited;
+            hiwater = hiwater.max(stats.arena_hiwater_words);
+        }
+        (blocks.len(), visits, hiwater)
+    }
+}
+
 /// Dense parts timed per sparse part: the dense calls are short and
 /// noisier, so each round gives them more samples.
-const DENSE_REPEATS: usize = 3;
+const DENSE_REPEATS: usize = 2;
 
-/// Untraced run: repeated set-ups, then rounds of the analyses for
-/// `seconds` (each round: the two sparse calls once, the three dense calls
-/// `DENSE_REPEATS` times), then the output checks.
+/// Untraced run: repeated set-ups, then rounds of the analyses until
+/// `seconds` have passed (each round: the two sparse calls once, the three
+/// dense calls `DENSE_REPEATS` times), then the output checks.
 pub fn run(seed: u64, seconds: f64, size: Size, report: &mut Report) -> Result<(), String> {
-    let mut setups = Vec::with_capacity(SETUPS);
-    let mut inst = None;
-    for _ in 0..SETUPS {
-        drop(inst.take());
+    let cpu = cpu_snapshot();
+    let mut setups = Vec::new();
+    // A rebuild drops the old instances first, so one copy is resident.
+    let mut set_up = |old: Option<Instances>| -> Result<Instances, String> {
+        drop(old);
         let t0 = Instant::now();
-        inst = Some(build(seed, size)?);
+        let inst = build(seed, size)?;
         setups.push(t0.elapsed().as_secs_f64());
+        Ok(inst)
+    };
+    let mut inst = set_up(None)?;
+    for _ in 1..SETUPS {
+        inst = set_up(Some(inst))?;
     }
-    let inst = inst.expect("built");
 
     // One untimed round first, so buffers the calls reuse are in place.
     let (warm, _) = round(&inst, THREADS, None, "");
     let started = Instant::now();
-    // (results, wall seconds, steal factor) per timed part.
-    let mut sparse: Vec<((InstanceDiameter, bool), f64, f64)> = Vec::new();
-    let mut dense: Vec<(
-        (TemporalMetrics, ReachabilityMatrix, InstanceDiameter),
-        f64,
-        f64,
-    )> = Vec::new();
+    // (results, wall seconds) per timed part.
+    let mut sparse: Vec<((InstanceDiameter, bool), f64)> = Vec::new();
+    let mut dense: Vec<((TemporalMetrics, ReachabilityMatrix, InstanceDiameter), f64)> = Vec::new();
     loop {
         let t0 = Instant::now();
-        let c0 = cpu_snapshot();
         let r = (
             instance_temporal_diameter(&inst.sparse, THREADS),
             treach_holds(&inst.sparse, THREADS),
         );
-        sparse.push((
-            r,
-            t0.elapsed().as_secs_f64(),
-            1.0 - stolen_share(c0, cpu_snapshot()),
-        ));
+        sparse.push((r, t0.elapsed().as_secs_f64()));
         for _ in 0..DENSE_REPEATS {
             let t0 = Instant::now();
-            let c0 = cpu_snapshot();
             let r = (
                 temporal_metrics(&inst.dense, THREADS),
                 ReachabilityMatrix::compute(&inst.dense, THREADS),
                 instance_temporal_diameter(&inst.dense, THREADS),
             );
-            dense.push((
-                r,
-                t0.elapsed().as_secs_f64(),
-                1.0 - stolen_share(c0, cpu_snapshot()),
-            ));
+            dense.push((r, t0.elapsed().as_secs_f64()));
         }
-        let round_s = started.elapsed().as_secs_f64() / sparse.len() as f64;
-        if started.elapsed().as_secs_f64() + round_s > seconds {
+        inst = set_up(Some(inst))?;
+        if started.elapsed().as_secs_f64() >= seconds {
             break;
         }
     }
     let rss = peak_rss_mb("self")?;
+    report.note(cpu.steal_note());
 
     let sparse_ok =
         |r: &(InstanceDiameter, bool)| r.0 == warm.sparse_diameter && r.1 == warm.sparse_treach;
@@ -314,26 +333,8 @@ pub fn run(seed: u64, seconds: f64, size: Size, report: &mut Report) -> Result<(
     let (checked, wrong) = oracle_checks(&inst, &warm, seed, &mut report.notes);
     report.tally(checked, wrong);
 
-    let scaled = |v: &[f64], f: &[f64]| {
-        v.iter()
-            .zip(f)
-            .map(|(t, f)| t * f * 1e3)
-            .collect::<Vec<f64>>()
-    };
-    let sparse_ms = scaled(
-        &sparse.iter().map(|p| p.1).collect::<Vec<_>>(),
-        &sparse.iter().map(|p| p.2).collect::<Vec<_>>(),
-    );
-    let dense_ms = scaled(
-        &dense.iter().map(|p| p.1).collect::<Vec<_>>(),
-        &dense.iter().map(|p| p.2).collect::<Vec<_>>(),
-    );
-    let raw = |v: &[f64]| median(v) * 1e3;
-    report.note(format!(
-        "closure unscaled medians: sparse part {:.1} ms, dense part {:.1} ms",
-        raw(&sparse.iter().map(|p| p.1).collect::<Vec<_>>()),
-        raw(&dense.iter().map(|p| p.1).collect::<Vec<_>>())
-    ));
+    let sparse_ms: Vec<f64> = sparse.iter().map(|p| p.1 * 1e3).collect();
+    let dense_ms: Vec<f64> = dense.iter().map(|p| p.1 * 1e3).collect();
     // The two latency slots carry the two parts: the dense analyses
     // (three calls) and the slower sparse ones (two calls); a unit is one
     // of each.
@@ -392,21 +393,15 @@ pub fn trace(
         3,
     );
 
-    // Bucket walk of the sparse engine: the two-worker dispatch shards the
-    // sources into column blocks that each walk the buckets, against one
-    // single-stream sweep over all sources.
+    // Bucket walk of the sparse diameter as the program dispatches it on
+    // two workers, against one single-stream sweep over all sources.
     let tn = &inst.sparse;
     let n = tn.num_nodes();
     let kind = EngineChoice::pick_for_parallel(tn, THREADS);
-    let mut sharded_visits = 0usize;
-    let mut hiwater = 0usize;
     let sharded_id = tracer.begin("sparse.sharded_sweep", None, 0);
-    for block in source_blocks(n, THREADS) {
-        let stats = SparseSweeper::new().sweep(tn, block, 0, |_, _, _, _| {});
-        sharded_visits += stats.buckets_visited;
-        hiwater = hiwater.max(stats.arena_hiwater_words);
-    }
+    let walk = EngineChoice::dispatch(tn, THREADS, DiameterWalk { tn });
     tracer.end(sharded_id);
+    let (shards, sharded_visits, mut hiwater) = walk.unwrap_or((0, 0, 0));
     let single_id = tracer.begin("sparse.single_sweep", None, 0);
     let single_stats = SparseSweeper::new().sweep(tn, 0..n as NodeId, 0, |_, _, _, _| {});
     tracer.end(single_id);
@@ -425,9 +420,8 @@ pub fn trace(
         1,
     );
     report.note(format!(
-        "closure trace: 2-worker dispatch picks {} on the sparse instance; {} shards visit {sharded_visits} buckets vs {} single-stream",
+        "closure trace: 2-worker dispatch picks {} on the sparse instance; its {shards} shards visit {sharded_visits} buckets vs {} single-stream",
         kind.name(),
-        source_blocks(n, THREADS).len(),
         single_stats.buckets_visited
     ));
     if kind != EngineKind::Sparse {

@@ -4,7 +4,7 @@
 //! The grid is spelled out here rather than taken from `SweepSpec::full`,
 //! so later edits to the program's presets do not change the benchmark.
 
-use crate::stats::{cpu_snapshot, median, peak_rss_mb, quantile, stolen_share, Report};
+use crate::stats::{cpu_snapshot, median, peak_rss_mb, quantile, Report};
 use crate::trace::Tracer;
 use crate::Size;
 use ephemeral_bench::sweep::{render_row, run_sweep_with, SweepOptions, SweepSpec};
@@ -30,8 +30,10 @@ use std::time::Instant;
 pub const THREADS: usize = 2;
 /// Where the reference rows live, relative to the checkout root.
 pub const REFERENCE: &str = "perfbench/reference/grid.tsv";
-/// Set-ups timed per run; `setup_s` is their median.
-const SETUPS: usize = 101;
+/// Set-ups timed before the first pass and again after every pass, so the
+/// samples span the host's load over the whole run; `setup_s` is their
+/// median.
+const SETUP_SAMPLES: usize = 25;
 /// Trials (or Gibbs steps) of each cell replayed in the traced run.
 const REPLAY_TRIALS: usize = 12;
 const REPLAY_STEPS: usize = 48;
@@ -92,32 +94,29 @@ pub fn spec(seed: u64, size: Size) -> SweepSpec {
     }
 }
 
-/// One set-up: expand the grid, fingerprint it and start (and stop) the
-/// worker pool — what `run_sweep_with` does before its first cell.
+/// One set-up, what `run_sweep_with` does before its first cell: expand
+/// the grid, fingerprint it and start the worker pool (which does not wait
+/// for its threads). The pool is stopped after the clock.
 fn setup_once(seed: u64, size: Size) -> f64 {
     let t0 = Instant::now();
     let spec = spec(seed, size);
     let cells = spec.cells();
     let fingerprint = spec.fingerprint();
     let pool = ThreadPool::new(THREADS);
-    pool.wait_idle();
-    drop(pool);
+    let secs = t0.elapsed().as_secs_f64();
     black_box((cells, fingerprint));
-    t0.elapsed().as_secs_f64()
+    drop(pool);
+    secs
 }
 
 struct Pass {
     rows: Vec<String>,
     wall_s: f64,
-    /// The share of wanted vCPU time the guest got during the pass (both
-    /// sweep threads are CPU-bound, so wall time stretches by its inverse).
-    share: f64,
     /// Seconds from the pass start to each row's emission, in grid order.
     row_at_s: Vec<f64>,
 }
 
 fn run_pass(spec: &SweepSpec) -> Pass {
-    let c0 = cpu_snapshot();
     let t0 = Instant::now();
     let mut row_at_s = Vec::new();
     let rows = run_sweep_with(spec, THREADS, &[], SweepOptions::default(), |_| {
@@ -127,7 +126,6 @@ fn run_pass(spec: &SweepSpec) -> Pass {
     Pass {
         rows,
         wall_s,
-        share: 1.0 - stolen_share(c0, cpu_snapshot()),
         row_at_s,
     }
 }
@@ -204,20 +202,20 @@ fn check_pass(
     (rows.len() as u64, wrong)
 }
 
-/// Untraced run: repeated set-ups, then whole passes for `seconds`.
+/// Untraced run: repeated set-ups, then whole passes until `seconds` have
+/// passed.
 pub fn run(seed: u64, seconds: f64, size: Size, report: &mut Report) -> Result<(), String> {
-    let setups: Vec<f64> = (0..SETUPS).map(|_| setup_once(seed, size)).collect();
+    let cpu = cpu_snapshot();
+    let mut setups: Vec<f64> = (0..SETUP_SAMPLES).map(|_| setup_once(seed, size)).collect();
     let spec = spec(seed, size);
     let started = Instant::now();
     let mut passes: Vec<Pass> = Vec::new();
-    loop {
+    while passes.is_empty() || started.elapsed().as_secs_f64() < seconds {
         passes.push(run_pass(&spec));
-        let last = passes.last().map_or(0.0, |p| p.wall_s);
-        if started.elapsed().as_secs_f64() + last > seconds {
-            break;
-        }
+        setups.extend((0..SETUP_SAMPLES).map(|_| setup_once(seed, size)));
     }
     let rss = peak_rss_mb("self")?;
+    report.note(cpu.steal_note());
 
     let reference = if size == Size::Full {
         reference_rows(seed)?
@@ -236,15 +234,9 @@ pub fn run(seed: u64, seconds: f64, size: Size, report: &mut Report) -> Result<(
         report.tally(checked, wrong);
     }
 
-    let walls: Vec<f64> = passes.iter().map(|p| p.wall_s * p.share).collect();
-    let raw: Vec<f64> = passes.iter().map(|p| p.wall_s).collect();
+    let walls: Vec<f64> = passes.iter().map(|p| p.wall_s).collect();
     // Per-pass percentiles, then their median over the passes.
-    let row_ms = |p: &Pass| {
-        p.row_at_s
-            .iter()
-            .map(|t| t * 1e3 * p.share)
-            .collect::<Vec<f64>>()
-    };
+    let row_ms = |p: &Pass| p.row_at_s.iter().map(|t| t * 1e3).collect::<Vec<f64>>();
     let p50: Vec<f64> = passes.iter().map(|p| quantile(&row_ms(p), 0.5)).collect();
     let p99: Vec<f64> = passes.iter().map(|p| quantile(&row_ms(p), 0.99)).collect();
     let rows = passes.iter().map(|p| p.rows.len()).sum();
@@ -258,12 +250,10 @@ pub fn run(seed: u64, seconds: f64, size: Size, report: &mut Report) -> Result<(
     report.set("p99_ms", median(&p99), "ms", rows);
     report.set("peak_rss_mb", rss, "MiB", 1);
     report.note(format!(
-        "grid: {} cells x {} passes, {} trials per pass; grid_s = unit_s (time until every cell has its row); p50/p99 = time from pass start to a row's emission; raw pass wall {:.4} s, vCPU share {:.3}",
+        "grid: {} cells x {} passes, {} trials per pass; grid_s = unit_s (time until every cell has its row); p50/p99 = time from pass start to a row's emission",
         first.len(),
         passes.len(),
-        trials,
-        median(&raw),
-        median(&passes.iter().map(|p| p.share).collect::<Vec<_>>())
+        trials
     ));
     Ok(())
 }
@@ -435,20 +425,15 @@ fn replay_cell(i: usize, cell: &Scenario, seed: u64, trials: usize, tr: &mut Tra
                 tr.time("network.redraw", Some(trial), req, || {
                     redraw(&mut tn, &mut spare, model, &mut rng);
                 });
-                let call = tr.begin("engine", Some(trial), req);
-                let kind = if td {
+                if td {
+                    // Only `td` calls count as engine time: `treach_holds`
+                    // also runs the graph layer's static-reach oracle.
+                    let call = tr.begin("engine", Some(trial), req);
                     let (d, kind) = instance_temporal_diameter_scratch_traced(&tn, &mut scratch);
                     black_box(d);
-                    kind
-                } else {
-                    let (holds, kind) = treach_holds_scratch_traced(&tn, &mut scratch);
-                    black_box(holds);
-                    kind
-                };
-                let engine_s = tr.end(call);
-                tr.rename(call, &format!("engine.{}", kind.name()));
-                spent += tr.end(trial);
-                if td {
+                    let engine_s = tr.end(call);
+                    tr.rename(call, &format!("engine.{}", kind.name()));
+                    spent += tr.end(trial);
                     let buckets = diameter_buckets(&tn, kind, &mut scratch);
                     tr.count(
                         &format!("engine.{}.td_buckets", kind.name()),
@@ -456,6 +441,11 @@ fn replay_cell(i: usize, cell: &Scenario, seed: u64, trials: usize, tr: &mut Tra
                     );
                     tr.count(&format!("engine.{}.td_s", kind.name()), engine_s);
                 } else {
+                    let (holds, _) = tr.time("reachability.treach", Some(trial), req, || {
+                        treach_holds_scratch_traced(&tn, &mut scratch)
+                    });
+                    black_box(holds);
+                    spent += tr.end(trial);
                     let (reach, _) = tr.time("graph.static_reach", None, req, || static_reach(&tn));
                     black_box(reach);
                 }
@@ -521,12 +511,8 @@ pub fn trace(
 ) -> Result<(f64, f64), String> {
     let spec = spec(seed, size);
     let untraced = run_pass(&spec);
-    let c0 = cpu_snapshot();
-    let (cells, traced_raw) = traced_pass(&spec, tracer);
-    let traced_share = 1.0 - stolen_share(c0, cpu_snapshot());
-    // Steal-scaled pass times, as the untraced metrics use them.
-    let untraced_wall = untraced.wall_s * untraced.share;
-    let traced_wall = traced_raw * traced_share;
+    let (cells, traced_wall) = traced_pass(&spec, tracer);
+    let untraced_wall = untraced.wall_s;
     let mut wrong = 0u64;
     for (c, row) in cells.iter().zip(&untraced.rows) {
         if c.row != *row || raw_field(row, "status") != Some("ok") {
@@ -546,7 +532,7 @@ pub fn trace(
     );
     report.set(
         "sweep.busy_frac",
-        busy / (THREADS as f64 * traced_raw),
+        busy / (THREADS as f64 * traced_wall),
         "ratio",
         cells.len(),
     );
@@ -672,7 +658,7 @@ pub fn trace(
     let overhead = traced_wall / untraced_wall - 1.0;
     let coverage = layer_time / (THREADS as f64 * untraced.wall_s);
     report.note(format!(
-        "grid trace: untraced pass {:.3}s, traced pass {:.3}s (steal-scaled), {} cells, replayed up to {REPLAY_TRIALS} trials ({REPLAY_STEPS} Gibbs steps) per cell",
+        "grid trace: untraced pass {:.3}s, traced pass {:.3}s, {} cells, replayed up to {REPLAY_TRIALS} trials ({REPLAY_STEPS} Gibbs steps) per cell",
         untraced_wall,
         traced_wall,
         cells.len()

@@ -7,10 +7,7 @@
 //! the timed phase against the scalar `foremost` oracle run on the
 //! harness's own copy of each instance, with the same label moves applied.
 
-use crate::stats::{
-    cpu_snapshot, median, own_runtime, peak_rss_mb, quantile, stolen_share, thread_runtimes,
-    CpuSnapshot, Report,
-};
+use crate::stats::{cpu_snapshot, median, peak_rss_mb, quantile, Report};
 use crate::trace::Tracer;
 use crate::Size;
 use ephemeral_rng::{RandomSource, SeedSequence, Xoshiro256PlusPlus};
@@ -28,8 +25,13 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Server set-ups timed per run; `setup_s` is their median.
-const SETUPS: usize = 21;
+/// Server set-ups timed before the timed phase (after one untimed), between
+/// its segments and after it, so the samples span the host's load over the
+/// run; `setup_s` is their median.
+const SETUPS: usize = 8;
+/// The timed phase runs in this many segments, each `seconds / SEGMENTS`
+/// long; the window drains between them while more set-ups are timed.
+const SEGMENTS: usize = 4;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -416,13 +418,8 @@ struct Phase {
     /// Round-trip times of requests sent inside the timed window (ms).
     rtt_ms: Vec<f64>,
     /// Wall time of each completed unit (s), and the median and 99th
-    /// percentile round trip of the answers received during it (ms), all
-    /// scaled by the unit's vCPU share; and the unscaled unit wall times.
+    /// percentile round trip of the answers received during it (ms).
     units: Vec<f64>,
-    raw_units: Vec<f64>,
-    shares: Vec<f64>,
-    busiest: Vec<f64>,
-    raw_p50_ms: Vec<f64>,
     unit_p50_ms: Vec<f64>,
     unit_p99_ms: Vec<f64>,
     /// Answers received inside the timed window, and that window (s).
@@ -432,48 +429,19 @@ struct Phase {
     response_bytes: usize,
 }
 
-/// What scaling a unit for steal needs, read at the unit's boundaries.
-struct Clock {
-    cpu: CpuSnapshot,
-    server: Vec<(u32, f64)>,
-    client: f64,
-}
-
-impl Clock {
-    fn read(server_pid: u32) -> Self {
-        Self {
-            cpu: cpu_snapshot(),
-            server: thread_runtimes(server_pid),
-            client: own_runtime(),
-        }
-    }
-
-    /// The factor for a unit of `wall` seconds ending at `later`: 1 − c·ρ,
-    /// where ρ is the stolen share of the guest's wanted vCPU time and c
-    /// the busiest thread's (server or client) run time as a share of the
-    /// unit's unstolen wall time, capped at 1. Steal stretches only the
-    /// CPU-bound part of the critical path; a unit spent waiting on a
-    /// timer (c ≈ 0) is left as measured. Returns (factor, c).
-    fn factor(&self, later: &Self, wall: f64) -> (f64, f64) {
-        let rho = stolen_share(self.cpu, later.cpu);
-        let before = |tid: u32| {
-            self.server
-                .iter()
-                .find(|&&(t, _)| t == tid)
-                .map_or(0.0, |&(_, r)| r)
-        };
-        let busiest = later
-            .server
-            .iter()
-            .map(|&(tid, r)| r - before(tid))
-            .fold(later.client - self.client, f64::max);
-        let granted = wall * (1.0 - rho);
-        let c = if granted > 0.0 {
-            (busiest / granted).min(1.0)
-        } else {
-            1.0
-        };
-        (1.0 - c * rho, c)
+impl Phase {
+    /// Append a later segment of the same connection.
+    fn absorb(&mut self, later: Phase) {
+        self.log.extend(later.log);
+        self.bad_status += later.bad_status;
+        self.rtt_ms.extend(later.rtt_ms);
+        self.units.extend(later.units);
+        self.unit_p50_ms.extend(later.unit_p50_ms);
+        self.unit_p99_ms.extend(later.unit_p99_ms);
+        self.timed_answers += later.timed_answers;
+        self.timed_s += later.timed_s;
+        self.request_bytes += later.request_bytes;
+        self.response_bytes += later.response_bytes;
     }
 }
 
@@ -483,11 +451,11 @@ struct LoadGen<'a> {
     conn: &'a mut Conn,
     stream: &'a mut Stream,
     seq: u64,
-    server_pid: u32,
 }
 
 impl LoadGen<'_> {
-    /// Run for `seconds` after `warm_units` untimed units; returns the phase.
+    /// Run for `seconds` after `warm_units` untimed units (none: the timed
+    /// window opens at once); returns the phase.
     fn run(
         &mut self,
         warm_units: usize,
@@ -505,9 +473,8 @@ impl LoadGen<'_> {
         let mut visits = 0usize;
         let mut answered_in_unit = 0usize;
         let mut warm_left = warm_units;
-        let mut timed_start: Option<Instant> = None;
+        let mut timed_start = (warm_units == 0).then(Instant::now);
         let mut unit_start = Instant::now();
-        let mut unit_clock = Clock::read(self.server_pid);
         let mut unit_rtt: Vec<f64> = Vec::new();
         let mut queries_seen = 0usize;
         let mut stop = false;
@@ -597,19 +564,11 @@ impl LoadGen<'_> {
             if unit_done {
                 answered_in_unit = 0;
                 if let Some(t0) = timed_start {
-                    let clock = Clock::read(self.server_pid);
-                    let wall = (now - unit_start).as_secs_f64();
-                    let (share, busy) = unit_clock.factor(&clock, wall);
-                    phase.raw_units.push(wall);
-                    phase.shares.push(share);
-                    phase.busiest.push(busy);
-                    phase.raw_p50_ms.push(quantile(&unit_rtt, 0.5));
-                    phase.units.push(wall * share);
-                    phase.unit_p50_ms.push(quantile(&unit_rtt, 0.5) * share);
-                    phase.unit_p99_ms.push(quantile(&unit_rtt, 0.99) * share);
+                    phase.units.push((now - unit_start).as_secs_f64());
+                    phase.unit_p50_ms.push(quantile(&unit_rtt, 0.5));
+                    phase.unit_p99_ms.push(quantile(&unit_rtt, 0.99));
                     unit_rtt.clear();
                     unit_start = now;
-                    unit_clock = clock;
                     if (now - t0).as_secs_f64() >= seconds {
                         stop = true;
                         pending.clear();
@@ -622,7 +581,6 @@ impl LoadGen<'_> {
                     // sent from now on.
                     timed_start = Some(now);
                     unit_start = now;
-                    unit_clock = Clock::read(self.server_pid);
                     answered_in_unit = 0;
                     // serve-write rotations already queued belong to warm-up.
                     unit_end_markers.retain(|&(_, timed)| timed);
@@ -802,6 +760,24 @@ fn setup_once(exe: &Path, stream: &Stream) -> Result<(Server, Conn, f64), String
     Ok((server, conn, secs))
 }
 
+/// `count` set-ups in a row, each timed into `setups`; the last server
+/// and connection are kept.
+fn set_up(
+    exe: &Path,
+    stream: &Stream,
+    count: usize,
+    setups: &mut Vec<f64>,
+) -> Result<(Server, Conn), String> {
+    let mut live = setup_once(exe, stream)?;
+    setups.push(live.2);
+    for _ in 1..count {
+        drop(live);
+        live = setup_once(exe, stream)?;
+        setups.push(live.2);
+    }
+    Ok((live.0, live.1))
+}
+
 /// Results of one measured session against a fresh server.
 struct Session {
     phase: Phase,
@@ -820,26 +796,29 @@ fn measure(
     tracer: Option<&mut Tracer>,
 ) -> Result<(Session, Stream), String> {
     let mut stream = Stream::new(plan(mode, size), seed)?;
-    let mut setups = Vec::with_capacity(SETUPS);
-    let mut live = None;
-    for _ in 0..SETUPS {
-        drop(live.take());
-        let (server, conn, secs) = setup_once(exe, &stream)?;
-        setups.push(secs);
-        live = Some((server, conn));
-    }
-    let (server, mut conn) = live.expect("set up");
+    // The first set-up is untimed: it pages the server binary in.
+    drop(setup_once(exe, &stream)?);
+    let mut setups = Vec::with_capacity((SEGMENTS + 1) * SETUPS);
+    let (server, mut conn) = set_up(exe, &stream, SETUPS, &mut setups)?;
     // Request ids count every line on the connection, the first load included.
     let first_id = 1;
-    let phase = {
+    let mut tracer = tracer;
+    let mut phase = Phase::default();
+    {
         let mut load = LoadGen {
             conn: &mut conn,
             stream: &mut stream,
             seq: first_id,
-            server_pid: server.child.id(),
         };
-        load.run(1, seconds, tracer)?
-    };
+        for k in 0..SEGMENTS {
+            if k > 0 {
+                drop(set_up(exe, load.stream, SETUPS, &mut setups)?);
+            }
+            let warm_units = usize::from(k == 0);
+            let segment = seconds / SEGMENTS as f64;
+            phase.absorb(load.run(warm_units, segment, tracer.as_deref_mut())?);
+        }
+    }
     let stats_id = first_id + phase.log.len() as u64;
     let stats_line = conn.call("{\"op\":\"stats\"}")?;
     if !stats_line.contains(&format!("\"id\":{stats_id},")) {
@@ -849,6 +828,7 @@ fn measure(
     let rss_mb = peak_rss_mb(&server.pid())?;
     drop(conn);
     drop(server);
+    drop(set_up(exe, &stream, SETUPS, &mut setups)?);
     Ok((
         Session {
             phase,
@@ -870,7 +850,9 @@ pub fn run(
     size: Size,
     report: &mut Report,
 ) -> Result<(), String> {
+    let cpu = cpu_snapshot();
     let (s, stream) = measure(exe, mode, seed, seconds, size, None)?;
+    report.note(cpu.steal_note());
     let (checked, wrong) = verify(&stream, &s.phase.log, s.first_id, &mut report.notes);
     report.tally(checked, wrong + s.phase.bad_status);
     if s.stats.failed > 0 {
@@ -881,13 +863,6 @@ pub fn run(
     report.note(format!(
         "set-ups (ms): {:.1?}",
         s.setups.iter().map(|t| t * 1e3).collect::<Vec<_>>()
-    ));
-    report.note(format!(
-        "unscaled: unit wall {:.4} s, p50 {:.3} ms; steal factor median {:.3} (busiest thread {:.3} of the unit)",
-        median(&s.phase.raw_units),
-        median(&s.phase.raw_p50_ms),
-        median(&s.phase.shares),
-        median(&s.phase.busiest)
     ));
     report.set("setup_s", median(&s.setups), "s", s.setups.len());
     report.set("unit_s", median(&s.phase.units), "s", s.phase.units.len());
@@ -1113,7 +1088,6 @@ pub fn trace(
 ) -> Result<(f64, f64), String> {
     let (untraced, _) = measure(exe, mode, seed, seconds, size, None)?;
     let (traced, stream) = measure(exe, mode, seed, seconds, size, Some(tracer))?;
-    // Steal-scaled unit times, as the untraced metrics use them.
     let untraced_unit = median(&untraced.phase.units);
     let traced_unit = median(&traced.phase.units);
     let (checked, wrong) = verify(

@@ -132,8 +132,8 @@ pub fn result_line(report: &Report, names: &[(&str, &str)]) -> Result<String, St
 /// guests while this one wanted the CPU (steal).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuSnapshot {
-    pub busy: u64,
-    pub steal: u64,
+    busy: u64,
+    steal: u64,
 }
 
 pub fn cpu_snapshot() -> CpuSnapshot {
@@ -156,40 +156,21 @@ pub fn cpu_snapshot() -> CpuSnapshot {
     }
 }
 
-/// The share of the vCPU time this guest wanted between two snapshots
-/// that the hypervisor gave to other guests instead: steal / (busy +
-/// steal), or 0 when nothing ran.
-pub fn stolen_share(a: CpuSnapshot, b: CpuSnapshot) -> f64 {
-    let busy = b.busy.saturating_sub(a.busy) as f64;
-    let steal = b.steal.saturating_sub(a.steal) as f64;
-    if busy + steal == 0.0 {
-        0.0
-    } else {
-        steal / (busy + steal)
+impl CpuSnapshot {
+    /// A note on host load since `self`: the share of the vCPU time this
+    /// guest wanted that the hypervisor gave to other guests instead,
+    /// steal / (busy + steal). Printed only; no measured time is adjusted.
+    pub fn steal_note(self) -> String {
+        let now = cpu_snapshot();
+        let busy = now.busy.saturating_sub(self.busy) as f64;
+        let steal = now.steal.saturating_sub(self.steal) as f64;
+        let share = if busy + steal == 0.0 {
+            0.0
+        } else {
+            steal / (busy + steal)
+        };
+        format!(
+            "host steal over the run: {share:.3} of the vCPU time the guest wanted (/proc/stat)"
+        )
     }
-}
-
-/// Run time in seconds (steal excluded) of every thread of process `pid`,
-/// from `/proc/<pid>/task/*/schedstat`, keyed by thread id.
-pub fn thread_runtimes(pid: u32) -> Vec<(u32, f64)> {
-    let Ok(dir) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
-        return Vec::new();
-    };
-    dir.filter_map(|e| {
-        let e = e.ok()?;
-        let tid: u32 = e.file_name().to_str()?.parse().ok()?;
-        Some((tid, runtime_of(&e.path().join("schedstat"))?))
-    })
-    .collect()
-}
-
-/// Run time in seconds of the calling thread.
-pub fn own_runtime() -> f64 {
-    runtime_of(std::path::Path::new("/proc/thread-self/schedstat")).unwrap_or(0.0)
-}
-
-fn runtime_of(path: &std::path::Path) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let ns: u64 = text.split_whitespace().next()?.parse().ok()?;
-    Some(ns as f64 * 1e-9)
 }
