@@ -99,7 +99,8 @@ def run_once(args):
 
 def single(workload, seed, seconds, trace, smoke=False):
     """One run in its own process, exactly as BENCHMARK.json's command runs.
-    Returns its result line and the host steal share it noted (or None)."""
+    Returns its result line, with each metric's sample count added, and the
+    host steal share it noted (or None)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     if smoke:
@@ -109,12 +110,18 @@ def single(workload, seed, seconds, trace, smoke=False):
         sys.stdout.write(proc.stdout)
         raise SystemExit(f"{workload} seed {seed} failed with code {proc.returncode}")
     steal = re.search(r"^# host steal over the run: ([0-9.]+)", proc.stdout, re.M)
-    return json.loads(proc.stdout.strip().splitlines()[-1]), steal and float(steal[1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name, n in re.findall(r"^metric (\S+) = .* \(samples (\d+)\)$", proc.stdout, re.M):
+        if name in result["metrics"]:
+            result["metrics"][name]["samples"] = int(n)
+    return result, steal and float(steal[1])
 
 
 def spread(vals):
     """(median, q1, q3, (q3 - q1) / median) as the steadiness rule takes them."""
     med = statistics.median(vals)
+    if len(vals) < 2:
+        return med, med, med, 0.0
     q1, _, q3 = statistics.quantiles(vals, n=4)
     return med, q1, q3, (q3 - q1) / med if med else float("inf")
 
@@ -130,8 +137,10 @@ def run_set(workloads, seeds, seconds):
             steals[w].append(steal or 0.0)
             tag = "" if r["correct"] else "  INCORRECT"
             print(f"{w} seed {seed}: " + ", ".join(
-                f"{k}={v['value']:.6g}" for k, v in r["metrics"].items())
-                + f"; host steal {steal}" + tag, flush=True)
+                f"{k}={v['value']:.6g} {v['unit']} (samples {v['samples']})"
+                for k, v in r["metrics"].items())
+                + f"; attempted {r['attempted']} failed {r['failed']}; host steal {steal}"
+                + tag, flush=True)
             for k, v in r["metrics"].items():
                 values[w].setdefault(k, []).append(v["value"])
     return values, steals
