@@ -8,9 +8,16 @@
 //! [`escape_into`] plus plain `write!` in the protocol layer, so every
 //! response is rendered byte-stably — the golden-transcript CI check
 //! depends on that.
+//!
+//! Nesting is capped at [`MAX_DEPTH`]: the parser recurses once per open
+//! array or object, and a stack overflow aborts the process where no
+//! `catch_unwind` can contain it. Protocol messages nest three deep.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,11 +97,13 @@ impl Json {
 /// Parse one complete JSON value (trailing non-whitespace is an error).
 ///
 /// # Errors
-/// A human-readable description of the first syntax error.
+/// A human-readable description of the first syntax error, or of
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -108,6 +117,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -149,8 +160,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected `{}` at byte {}",
@@ -158,6 +169,20 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -371,6 +396,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // Far deeper than any stack holds: rejected at the cap instead of
+        // overflowing the stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! the CI smoke test replays a script against a golden transcript and
 //! `cmp`s.
 //!
+//! Answers leave in bursts. A shard hands each lane batch's rendered
+//! answers to the writer as one message, and the writer collects lines
+//! in one buffer that it flushes only when no further answer is ready,
+//! so a burst goes out in one write and the last answer of a burst is
+//! never held back waiting for more. [`serve_listener`] sets
+//! `TCP_NODELAY` on every connection, so each flushed burst is sent at
+//! once: with Nagle's algorithm on, a write issued while an earlier one
+//! is still unacknowledged waits for the client's delayed ACK, about
+//! 40 ms on Linux.
+//!
 //! Every batch runs inside `catch_unwind` with an optional
 //! [`CancelToken`] deadline. A poisoned batch is degraded, not fatal:
 //! the shard resets its engine scratch and replays each query alone, so
@@ -31,8 +41,8 @@ use ephemeral_temporal::session::{PointQuery, QuerySession};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::{self, BufRead, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, BufWriter, Write};
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -78,6 +88,11 @@ pub fn shard_of(instance: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
+/// Rendered answers handed to the writer in one message, each tagged
+/// with its request sequence number: all of a lane batch's answers, or
+/// a single answer to any other request.
+type Answers = Vec<(u64, String)>;
+
 enum ShardMsg {
     Req {
         seq: u64,
@@ -105,7 +120,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
     cfg: &ServeConfig,
 ) -> io::Result<ServeSummary> {
     assert!(cfg.shards >= 1, "at least one shard");
-    let (out_tx, out_rx) = unbounded::<(u64, String)>();
+    let (out_tx, out_rx) = unbounded::<Answers>();
     let mut shard_txs: Vec<Sender<ShardMsg>> = Vec::with_capacity(cfg.shards);
     let mut shard_rxs: Vec<Receiver<ShardMsg>> = Vec::with_capacity(cfg.shards);
     for _ in 0..cfg.shards {
@@ -135,7 +150,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
             }
             match parse_request(&line) {
                 Err(e) => {
-                    let _ = out_tx.send((seq, render_error(seq, &e)));
+                    let _ = out_tx.send(vec![(seq, render_error(seq, &e))]);
                 }
                 Ok(Request::Stats) => {
                     // Rendezvous: each shard drains everything that
@@ -143,7 +158,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
                     // counters are deterministic for a deterministic
                     // request stream.
                     let stats = probe_all(&shard_txs, seq);
-                    let _ = out_tx.send((seq, stats.render(seq)));
+                    let _ = out_tx.send(vec![(seq, stats.render(seq))]);
                 }
                 Ok(req) => {
                     let shard = match &req {
@@ -193,22 +208,36 @@ fn probe_all(shard_txs: &[Sender<ShardMsg>], _seq: u64) -> ServeStats {
 }
 
 /// Writer thread: answers arrive tagged with their request sequence
-/// number in completion order; emit them in **arrival** order.
-fn write_in_order<W: Write>(mut output: W, rx: &Receiver<(u64, String)>) -> io::Result<()> {
+/// number in completion order; emit them in **arrival** order. Lines
+/// collect in one buffer that is flushed only when no further answer is
+/// ready, so a burst leaves in one write and its last line never waits
+/// for answers that have not been computed yet.
+fn write_in_order<W: Write>(output: W, rx: &Receiver<Answers>) -> io::Result<()> {
+    let mut output = BufWriter::new(output);
     let mut heap: BinaryHeap<Reverse<(u64, String)>> = BinaryHeap::new();
     let mut next = 0u64;
-    while let Ok(item) = rx.recv() {
-        heap.push(Reverse(item));
-        let mut wrote = false;
+    let mut unflushed = false;
+    loop {
+        let answers = if let Some(answers) = rx.try_recv() {
+            answers
+        } else {
+            // Nothing else ready: send what is buffered, then sleep.
+            if unflushed {
+                output.flush()?;
+                unflushed = false;
+            }
+            match rx.recv() {
+                Ok(answers) => answers,
+                Err(_) => break,
+            }
+        };
+        heap.extend(answers.into_iter().map(Reverse));
         while heap.peek().is_some_and(|Reverse((seq, _))| *seq == next) {
             let Reverse((_, line)) = heap.pop().expect("peeked");
             output.write_all(line.as_bytes())?;
             output.write_all(b"\n")?;
             next += 1;
-            wrote = true;
-        }
-        if wrote {
-            output.flush()?;
+            unflushed = true;
         }
     }
     // The channel only closes once every response was sent, so the heap
@@ -230,7 +259,7 @@ struct PendingBatch {
 /// Shard worker: drain the queue, coalescing runs of queries per
 /// instance into lane batches; mutating requests flush first so FIFO
 /// semantics hold per instance.
-fn shard_worker(rx: &Receiver<ShardMsg>, out: &Sender<(u64, String)>, cfg: &ServeConfig) {
+fn shard_worker(rx: &Receiver<ShardMsg>, out: &Sender<Answers>, cfg: &ServeConfig) {
     let mut cache = InstanceCache::new(cfg.byte_budget);
     let mut pending: Vec<PendingBatch> = Vec::new();
     let mut queries = 0u64;
@@ -334,19 +363,20 @@ fn shard_worker(rx: &Receiver<ShardMsg>, out: &Sender<(u64, String)>, cfg: &Serv
                             );
                             let bytes = session.resident_bytes();
                             let evicted = cache.insert(&instance, session);
-                            let _ = out.send((
+                            let _ = out.send(vec![(
                                 seq,
                                 render_loaded(
                                     seq, &instance, nodes, edges, lifetime, bytes, evicted,
                                 ),
-                            ));
+                            )]);
                         }
                         Ok(Err(e)) => {
-                            let _ = out.send((seq, render_error(seq, &e)));
+                            let _ = out.send(vec![(seq, render_error(seq, &e))]);
                         }
                         Err(panic) => {
                             failed += 1;
-                            let _ = out.send((seq, render_failed(seq, &describe_panic(&panic))));
+                            let _ =
+                                out.send(vec![(seq, render_failed(seq, &describe_panic(&panic)))]);
                         }
                     }
                 }
@@ -368,27 +398,29 @@ fn shard_worker(rx: &Receiver<ShardMsg>, out: &Sender<(u64, String)>, cfg: &Serv
                         &mut failed,
                     );
                     let Some(session) = cache.session(&instance) else {
-                        let _ = out.send((
+                        let _ = out.send(vec![(
                             seq,
                             render_error(seq, &format!("unknown instance {instance:?}")),
-                        ));
+                        )]);
                         continue;
                     };
                     if (edge as usize) >= session.network().graph().num_edges() {
-                        let _ = out
-                            .send((seq, render_error(seq, &format!("edge {edge} out of range"))));
+                        let _ = out.send(vec![(
+                            seq,
+                            render_error(seq, &format!("edge {edge} out of range")),
+                        )]);
                         continue;
                     }
                     let moved =
                         catch_unwind(AssertUnwindSafe(|| session.move_label(edge, from, to)));
                     match moved {
                         Ok(Some(apply)) => {
-                            let _ =
-                                out.send((seq, render_moved(seq, true, apply.replayed_buckets)));
+                            let _ = out
+                                .send(vec![(seq, render_moved(seq, true, apply.replayed_buckets))]);
                             cache.reaccount(&instance);
                         }
                         Ok(None) => {
-                            let _ = out.send((seq, render_moved(seq, false, 0)));
+                            let _ = out.send(vec![(seq, render_moved(seq, false, 0))]);
                         }
                         Err(panic) => {
                             // The network's own move completed or never
@@ -397,7 +429,8 @@ fn shard_worker(rx: &Receiver<ShardMsg>, out: &Sender<(u64, String)>, cfg: &Serv
                             session.invalidate_cursor();
                             session.reset_scratch();
                             failed += 1;
-                            let _ = out.send((seq, render_failed(seq, &describe_panic(&panic))));
+                            let _ =
+                                out.send(vec![(seq, render_failed(seq, &describe_panic(&panic)))]);
                         }
                     }
                 }
@@ -420,7 +453,7 @@ fn shard_worker(rx: &Receiver<ShardMsg>, out: &Sender<(u64, String)>, cfg: &Serv
 fn flush_all(
     pending: &mut Vec<PendingBatch>,
     cache: &mut InstanceCache,
-    out: &Sender<(u64, String)>,
+    out: &Sender<Answers>,
     cfg: &ServeConfig,
     queries: &mut u64,
     batches: &mut u64,
@@ -435,7 +468,7 @@ fn flush_all(
 fn flush_batch(
     batch: PendingBatch,
     cache: &mut InstanceCache,
-    out: &Sender<(u64, String)>,
+    out: &Sender<Answers>,
     cfg: &ServeConfig,
     queries: &mut u64,
     batches: &mut u64,
@@ -443,13 +476,15 @@ fn flush_batch(
 ) {
     *batches += 1;
     *queries += batch.seqs.len() as u64;
+    let mut answers = Answers::with_capacity(batch.seqs.len());
     let Some(session) = cache.session(&batch.instance) else {
         for &seq in &batch.seqs {
-            let _ = out.send((
+            answers.push((
                 seq,
                 render_error(seq, &format!("unknown instance {:?}", batch.instance)),
             ));
         }
+        let _ = out.send(answers);
         return;
     };
     // Range-check before packing lanes: one bad vertex must reject that
@@ -465,7 +500,7 @@ fn flush_batch(
             PointQuery::DistanceRow { u, .. } => (u >= n).then_some(u),
         };
         if let Some(vertex) = bad {
-            let _ = out.send((
+            answers.push((
                 seq,
                 render_error(seq, &format!("vertex {vertex} out of range (n = {n})")),
             ));
@@ -474,17 +509,19 @@ fn flush_batch(
             lanes.push(query);
         }
     }
-    run_queries(session, &seqs, &lanes, out, cfg, failed);
+    run_queries(session, &seqs, &lanes, &mut answers, cfg, failed);
+    let _ = out.send(answers);
 }
 
-/// Run one lane batch under panic isolation and the optional deadline.
-/// A poisoned batch resets the engine scratch and replays each query
-/// alone, so only the poisoned one quarantines.
+/// Run one lane batch under panic isolation and the optional deadline,
+/// appending its rendered answers to `answers`. A poisoned batch resets
+/// the engine scratch and replays each query alone, so only the poisoned
+/// one quarantines.
 fn run_queries(
     session: &mut QuerySession,
     seqs: &[u64],
     lanes: &[PointQuery],
-    out: &Sender<(u64, String)>,
+    answers: &mut Answers,
     cfg: &ServeConfig,
     failed: &mut u64,
 ) {
@@ -498,14 +535,14 @@ fn run_queries(
         for &seq in seqs {
             faults::hit(faults::site::SERVE_QUERY, seq);
         }
-        let answers = session.answer_batch(lanes);
+        let batch = session.answer_batch(lanes);
         session.set_cancel_token(None);
-        answers
+        batch
     }));
     match outcome {
-        Ok(answers) => {
-            for (&seq, answer) in seqs.iter().zip(&answers) {
-                let _ = out.send((seq, render_answer(seq, answer)));
+        Ok(batch) => {
+            for (&seq, answer) in seqs.iter().zip(&batch) {
+                answers.push((seq, render_answer(seq, answer)));
             }
         }
         Err(panic) => {
@@ -515,10 +552,10 @@ fn run_queries(
             session.reset_scratch();
             if seqs.len() == 1 {
                 *failed += 1;
-                let _ = out.send((seqs[0], render_failed(seqs[0], &describe_panic(&panic))));
+                answers.push((seqs[0], render_failed(seqs[0], &describe_panic(&panic))));
             } else {
                 for (&seq, &query) in seqs.iter().zip(lanes) {
-                    run_queries(session, &[seq], &[query], out, cfg, failed);
+                    run_queries(session, &[seq], &[query], answers, cfg, failed);
                 }
             }
         }
@@ -549,8 +586,12 @@ fn describe_panic(payload: &Box<dyn Any + Send>) -> String {
 /// Serve `connections` TCP connections (all of them when `None`), one
 /// at a time, each speaking the same line protocol as stdin.
 ///
+/// A connection that fails — a client that resets it with answers
+/// unread, say — ends alone: its error is reported on stderr and the
+/// next connection is accepted. It still counts towards `connections`.
+///
 /// # Errors
-/// Accept/read/write errors propagate.
+/// Accept errors propagate.
 pub fn serve_listener(
     listener: &TcpListener,
     cfg: &ServeConfig,
@@ -558,12 +599,21 @@ pub fn serve_listener(
 ) -> io::Result<()> {
     let mut served = 0usize;
     while connections.is_none_or(|k| served < k) {
-        let (stream, _) = listener.accept()?;
-        let reader = io::BufReader::new(stream.try_clone()?);
-        serve_lines(reader, stream, cfg)?;
+        let (stream, peer) = listener.accept()?;
+        if let Err(e) = serve_connection(stream, cfg) {
+            eprintln!("# serve: connection from {peer} ended: {e}");
+        }
         served += 1;
     }
     Ok(())
+}
+
+/// One accepted connection. `TCP_NODELAY` sends every flushed burst at
+/// once instead of holding it behind an unacknowledged earlier write.
+fn serve_connection(stream: TcpStream, cfg: &ServeConfig) -> io::Result<ServeSummary> {
+    stream.set_nodelay(true)?;
+    let reader = io::BufReader::new(stream.try_clone()?);
+    serve_lines(reader, stream, cfg)
 }
 
 /// Serve stdin → stdout until EOF (the `experiments serve` default).
@@ -645,6 +695,28 @@ mod tests {
         );
         assert_eq!(summary.stats.failed, 0);
         assert_eq!(summary.stats.misses, 1);
+    }
+
+    #[test]
+    fn a_line_nested_too_deep_is_rejected_and_the_next_request_answers() {
+        // 200,000 open brackets would overflow the reader's stack in an
+        // unbounded recursive descent and abort the process.
+        let script = format!(
+            "{PATH3}\n{}\n\
+             {{\"op\":\"query\",\"instance\":\"p\",\"type\":\"foremost\",\"u\":0,\"v\":2}}\n",
+            "[".repeat(200_000)
+        );
+        let (lines, summary) = serve_script(&script, &ServeConfig::default());
+        assert_eq!(lines.len(), 3);
+        assert_eq!(
+            lines[1],
+            r#"{"id":1,"status":"error","error":"nesting deeper than 64 at byte 64"}"#
+        );
+        assert_eq!(
+            lines[2],
+            r#"{"id":2,"status":"ok","op":"query","type":"foremost","arrival":2}"#
+        );
+        assert_eq!(summary.stats.failed, 0);
     }
 
     #[test]

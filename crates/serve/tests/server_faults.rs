@@ -5,6 +5,11 @@
 //! fault-free run. The fault registry is process-global, so these tests
 //! live in their own integration binary.
 //!
+//! Every `serve_lines` call here runs under the global install lock,
+//! fault-free runs too (through [`quiet`]): a fault-free run that
+//! overlapped another test's schedule could hit that schedule's panic
+//! itself, or use up the attempts the other test's victim needs.
+//!
 //! `fires=2` matters: a poisoned *batch* is replayed one query at a
 //! time, so the poisoned query is attempted twice (batch, then alone) —
 //! the schedule must fire on both attempts for the quarantine to stick,
@@ -58,6 +63,12 @@ fn run(script: &str, shards: usize) -> Vec<String> {
         .collect()
 }
 
+/// Hold the process-global fault slot with a schedule that never fires,
+/// so a fault-free run cannot overlap another test's installed schedule.
+fn quiet() -> faults::FaultGuard {
+    faults::install(FaultSchedule::new(0, 0.0, Fault::Panic))
+}
+
 /// The query sequence numbers of [`script`] are 1..=30 (seq 0 loads).
 /// Find a schedule that fires on exactly one of them.
 fn one_shot_schedule() -> (FaultSchedule, u64) {
@@ -77,7 +88,10 @@ fn one_shot_schedule() -> (FaultSchedule, u64) {
 
 #[test]
 fn one_poisoned_query_quarantines_and_its_batchmates_answer() {
-    let baseline = run(&script(), 1);
+    let baseline = {
+        let _quiet = quiet();
+        run(&script(), 1)
+    };
     let (schedule, victim) = one_shot_schedule();
 
     let guard = faults::install(schedule);
@@ -145,6 +159,7 @@ fn a_deadline_of_zero_degrades_to_failed_not_a_dead_server() {
     // unreachable answer.
     let mut out = Vec::new();
     let script = script();
+    let _quiet = quiet();
     serve_lines(
         script.as_bytes(),
         &mut out,

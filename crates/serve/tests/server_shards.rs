@@ -4,14 +4,18 @@
 //! singleton (non-coalesced) [`QuerySession`] replay of the same
 //! request stream, label moves on a resident instance must leave it
 //! answer-equivalent to a cold rebuild with the moved labels, and the
-//! TCP front must speak the exact same bytes as the stdin front.
+//! TCP front must speak the exact same bytes as the stdin front, answer
+//! each request at once, and outlive a client that resets its
+//! connection.
 
 use ephemeral_serve::protocol::{parse_request, render_answer, LoadSpec, Request};
 use ephemeral_serve::server::{serve_lines, serve_listener, ServeConfig};
 use ephemeral_temporal::session::QuerySession;
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn cfg(shards: usize) -> ServeConfig {
     ServeConfig {
@@ -275,6 +279,103 @@ fn tcp_front_speaks_the_same_bytes_as_stdin() {
     for (a, b) in expected.iter().zip(&got) {
         if a.contains("\"op\":\"stats\"") {
             continue; // hit/batch counters may differ, answers may not
+        }
+        assert_eq!(a, b);
+    }
+}
+
+/// A G(48) instance for the socket tests below.
+const LOAD_G: &str = "{\"op\":\"load\",\"instance\":\"g\",\"gnp\":{\"nodes\":48,\
+    \"avg_degree\":3.5,\"seed\":11},\"directed\":false,\"lifetime\":96,\
+    \"labels_per_edge\":2,\"label_seed\":5}";
+
+/// A single-shard server on a loopback port that serves `connections`
+/// connections and then returns.
+fn listen(connections: usize) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        serve_listener(&listener, &cfg(1), Some(connections)).expect("serve");
+    });
+    (addr, server)
+}
+
+#[test]
+fn sequential_round_trips_are_answered_at_once() {
+    // One request in flight at a time, as an interactive client sends
+    // them. Any part of an answer left to Nagle's algorithm waits for the
+    // client's delayed ACK, about 40 ms on Linux, which would stretch 50
+    // round trips past two seconds.
+    let (addr, server) = listen(1);
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("client TCP_NODELAY");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    let mut writer = stream;
+    let mut call = |request: &str| {
+        writer
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("receive");
+        line
+    };
+    let loaded = call(LOAD_G);
+    assert!(loaded.contains("\"status\":\"ok\""), "{loaded}");
+    let started = Instant::now();
+    for i in 0..50u32 {
+        let (u, v) = ((i * 7) % 48, (i * 13 + 3) % 48);
+        let answer = call(&format!(
+            "{{\"op\":\"query\",\"instance\":\"g\",\"type\":\"foremost\",\"u\":{u},\"v\":{v}}}"
+        ));
+        assert!(answer.contains("\"status\":\"ok\""), "{answer}");
+    }
+    let elapsed = started.elapsed();
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    server.join().expect("server thread");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn a_client_that_resets_its_connection_does_not_end_the_server() {
+    let (addr, server) = listen(2);
+
+    // Thousands of row queries, then a close with their answers unread:
+    // the kernel answers the server's next segment with a reset.
+    let mut flood = format!("{LOAD_G}\n");
+    for i in 0..3000u32 {
+        flood.push_str(&format!(
+            "{{\"op\":\"query\",\"instance\":\"g\",\"type\":\"distance_row\",\"u\":{}}}\n",
+            i % 48
+        ));
+    }
+    let mut rude = TcpStream::connect(addr).expect("connect");
+    rude.write_all(flood.as_bytes()).expect("send the flood");
+    rude.peek(&mut [0u8; 1]).expect("answers start to arrive");
+    drop(rude);
+
+    // The next connection is accepted and answered in full.
+    let script = mixed_script();
+    let expected = run(&script, &cfg(1));
+    let mut stream = TcpStream::connect(addr).expect("connect again");
+    stream.write_all(script.as_bytes()).expect("send script");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = String::new();
+    stream.read_to_string(&mut got).expect("read transcript");
+    server
+        .join()
+        .expect("the reset ended one connection, not the server");
+    let got: Vec<&str> = got.lines().collect();
+    assert_eq!(expected.len(), got.len());
+    for (a, b) in expected.iter().zip(&got) {
+        if a.contains("\"op\":\"stats\"") {
+            continue; // batch counters follow the timing, answers may not
         }
         assert_eq!(a, b);
     }
