@@ -42,7 +42,8 @@ enum Format {
 }
 
 /// Parsed command line: one pass partitions the args into flags and ids,
-/// so a value-taking flag can never be mistaken for an experiment id.
+/// so a value-taking flag can never be mistaken for an experiment id, and
+/// an id that names no experiment is an error rather than an empty run.
 struct Cli {
     quick: bool,
     format: Format,
@@ -62,6 +63,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             other => Err(format!("unknown format '{other}' (markdown | json)")),
         }
     }
+    let known: Vec<&str> = all_experiments().iter().map(|exp| exp.id).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--quick" {
@@ -73,8 +75,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             cli.format = format_value(value)?;
         } else if a.starts_with("--") {
             return Err(format!("unknown flag '{a}'"));
-        } else {
+        } else if known.contains(&a.as_str()) {
             cli.ids.push(a.clone());
+        } else {
+            return Err(format!(
+                "unknown experiment id '{a}' (ids: {})",
+                known.join(", ")
+            ));
         }
     }
     Ok(cli)
@@ -243,7 +250,9 @@ fn run_serve_mode(args: &[String]) -> Result<(), String> {
                 let mb: usize = value_of("--budget-mb")?
                     .parse()
                     .map_err(|e| format!("bad --budget-mb: {e}"))?;
-                cfg.byte_budget = mb << 20;
+                cfg.byte_budget = mb.checked_mul(1 << 20).ok_or_else(|| {
+                    format!("bad --budget-mb: {mb} MiB overflows the byte budget")
+                })?;
             }
             "--deadline-ms" => {
                 let ms: u64 = value_of("--deadline-ms")?

@@ -118,8 +118,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
          the intervals overlap; the delta half-width is the between-chain construction — \
          honest under within-chain autocorrelation, and wider per sample for it. The work \
          ratio is the cost collapse per sample: a cold redraw sweeps every occupied bucket, \
-         a differential move replays only the perturbed ones (BENCH_PR6.json records the \
-         wall-clock counterpart). P[T_reach] itself is structurally 0 on these substrates — \
+         a differential move replays only the perturbed ones (the benchmark's traced grid \
+         run times both: delta.apply_us per move, engine.sparse.sweep_us per cold sweep). \
+         P[T_reach] itself is structurally 0 on these substrates — \
          a single uniform label cannot orient both directions of a diameter-2 pair — hence \
          the ladder reports the continuous pair count.",
     );

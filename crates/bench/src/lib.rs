@@ -24,14 +24,12 @@
 //! an adaptive CI-driven grid over families × label models, streamed as
 //! resumable JSON lines (`--resume <file>` skips completed cells and
 //! reproduces the uninterrupted output byte-for-byte).
-//! The Criterion benches (`cargo bench`) time the computational kernels
-//! behind each experiment at a fixed size; `adaptive_vs_fixed` measures
-//! what CI-driven stopping buys over the old hard-coded trial counts, and
-//! `wide_vs_batch` measures the single-pass wide-frontier engine against
-//! per-batch sweeping (dumping headline numbers to `BENCH_PR4.json`; its
-//! `-- --test` mode is the CI smoke gate). Sweep rows carry an `"engine"`
-//! field (`wide`/`batch`/`scalar`) naming the journey engine that served
-//! each cell.
+//! `experiments serve` runs the JSON-lines reachability service of
+//! `ephemeral-serve` on stdin/stdout or a TCP listener. Sweep rows carry
+//! an `"engine"` field (`wide`/`sparse`/`batch`/`scalar`) naming the
+//! journey engine that served each cell. Performance is measured by the
+//! one benchmark, `python3 perfbench/run.py` (declared in
+//! `BENCHMARK.json`; see `perfbench/README.md`).
 //!
 //! E02/E03/E04/E08 allocate their trials adaptively (see
 //! [`ExpConfig::adaptive`]); the remaining tables keep fixed counts where

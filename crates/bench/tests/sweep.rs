@@ -310,4 +310,16 @@ fn cli_rejects_markdown_format_and_unknown_flags() {
     let (ok, _, stderr) = run_cli(&["sweep", "--frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown sweep argument"), "{stderr}");
+    // Ids are matched exactly; an id that names no experiment is an
+    // error, not an empty run.
+    let (ok, _, stderr) = run_cli(&["e99"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown experiment id 'e99'"), "{stderr}");
+    let (ok, _, stderr) = run_cli(&["--quick", "E02"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown experiment id 'E02'"), "{stderr}");
+    // 2^44 MiB is 2^64 bytes: the budget must not wrap to 0.
+    let (ok, _, stderr) = run_cli(&["serve", "--budget-mb", "17592186044416"]);
+    assert!(!ok);
+    assert!(stderr.contains("--budget-mb: 17592186044416"), "{stderr}");
 }

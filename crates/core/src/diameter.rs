@@ -220,33 +220,6 @@ pub fn td_montecarlo_adaptive(
     }
 }
 
-/// Estimate `TD` of the directed (or undirected) normalized U-RT clique —
-/// the headline quantity of §3.
-#[must_use]
-pub fn clique_td_montecarlo(
-    n: usize,
-    directed: bool,
-    trials: usize,
-    seed: u64,
-) -> TemporalDiameterEstimate {
-    let graph = generators::clique(n, directed);
-    td_montecarlo(&graph, n as Time, trials, seed, available_threads())
-}
-
-/// Estimate `TD` of a U-RT clique with an arbitrary lifetime (Theorem 5's
-/// regime when `lifetime ≫ n`).
-#[must_use]
-pub fn clique_td_with_lifetime(
-    n: usize,
-    directed: bool,
-    lifetime: Time,
-    trials: usize,
-    seed: u64,
-) -> TemporalDiameterEstimate {
-    let graph = generators::clique(n, directed);
-    td_montecarlo(&graph, lifetime, trials, seed, available_threads())
-}
-
 /// Adaptive-stopping estimate of `TD` of the normalized U-RT clique.
 #[must_use]
 pub fn clique_td_adaptive(
@@ -279,7 +252,8 @@ mod tests {
 
     #[test]
     fn urt_clique_diameter_is_logarithmic() {
-        let est = clique_td_montecarlo(128, true, 20, 1);
+        let clique = generators::clique(128, true);
+        let est = td_montecarlo(&clique, 128, 20, 1, available_threads());
         assert_eq!(est.trials, 20);
         assert_eq!(est.infinite_instances, 0, "clique instances are connected");
         // Θ(log n): between log2(n)/2 and 8·ln n at this size.
@@ -296,8 +270,9 @@ mod tests {
     #[test]
     fn undirected_clique_behaves_like_directed() {
         // Remark 1: the undirected case is not significantly different.
-        let dir = clique_td_montecarlo(64, true, 15, 2);
-        let und = clique_td_montecarlo(64, false, 15, 2);
+        let (directed, undirected) = (generators::clique(64, true), generators::clique(64, false));
+        let dir = td_montecarlo(&directed, 64, 15, 2, available_threads());
+        let und = td_montecarlo(&undirected, 64, 15, 2, available_threads());
         assert_eq!(und.infinite_instances, 0);
         // Undirected labels serve both directions: diameter within 2x.
         assert!(und.finite.mean <= dir.finite.mean * 1.5 + 2.0);
@@ -305,8 +280,9 @@ mod tests {
 
     #[test]
     fn estimates_are_deterministic() {
-        let a = clique_td_montecarlo(32, true, 10, 3);
-        let b = clique_td_montecarlo(32, true, 10, 3);
+        let clique = generators::clique(32, true);
+        let a = td_montecarlo(&clique, 32, 10, 3, available_threads());
+        let b = td_montecarlo(&clique, 32, 10, 3, available_threads());
         assert_eq!(a, b);
     }
 
@@ -322,8 +298,9 @@ mod tests {
     #[test]
     fn diameter_grows_with_lifetime() {
         // Theorem 5 mechanics: larger lifetime stretches the diameter.
-        let short = clique_td_with_lifetime(64, true, 64, 10, 5);
-        let long = clique_td_with_lifetime(64, true, 64 * 8, 10, 5);
+        let clique = generators::clique(64, true);
+        let short = td_montecarlo(&clique, 64, 10, 5, available_threads());
+        let long = td_montecarlo(&clique, 64 * 8, 10, 5, available_threads());
         assert!(
             long.finite.mean > short.finite.mean * 2.0,
             "short {} long {}",

@@ -142,14 +142,15 @@ fn warm_montecarlo_trials_do_not_allocate() {
     // `cache_blocks` iterator).
     use ephemeral_core::urtn::placeholder_network;
     use ephemeral_temporal::distance::instance_temporal_diameter_scratch;
-    use ephemeral_temporal::wide::{engine_for, EngineKind, SweepScratch, WIDE_CROSSOVER};
+    use ephemeral_temporal::sparse::EngineChoice;
+    use ephemeral_temporal::wide::{EngineKind, SweepScratch, WIDE_CROSSOVER};
     let n_wide = WIDE_CROSSOVER + 64;
-    assert_eq!(engine_for(n_wide), EngineKind::Wide);
     let graph = generators::clique(n_wide, true);
     let mut tn = placeholder_network(&graph, n_wide as u32);
     let mut scratch = SweepScratch::new();
     for _ in 0..3 {
         resample_single_in_place(&mut tn, &mut spare, &mut rng);
+        assert_eq!(EngineChoice::pick_for(&tn), EngineKind::Wide);
         let _ = instance_temporal_diameter_scratch(&tn, &mut scratch);
     }
     let before = allocations();
@@ -173,7 +174,6 @@ fn warm_montecarlo_trials_do_not_allocate() {
     // trial through the event-driven engine — frontier matrices,
     // non-zero-word summaries, version memo and per-bucket slab all
     // reused across trials.
-    use ephemeral_temporal::sparse::EngineChoice;
     let n_sparse = WIDE_CROSSOVER + 64;
     let mut rng2 = default_rng(11);
     let graph = ephemeral_graph::generators::gnp(n_sparse, 4.0 / n_sparse as f64, false, &mut rng2);

@@ -85,8 +85,10 @@
 //!
 //! In the paper's sparse regime (`a = 4n`, average degree 4) the
 //! closure is ~1% dense at `n = 4096`, `ℓ` is ~40 and `D` is a few
-//! dozen — microseconds against a multi-millisecond cold re-sweep. See
-//! the `delta_vs_cold` bench and `BENCH_PR6.json` for measured numbers.
+//! dozen — microseconds against a multi-millisecond cold re-sweep. The
+//! benchmark's traced grid run (`python3 perfbench/run.py --workload grid
+//! --trace 1`) measures it: `delta.apply_us` per move against
+//! `engine.sparse.sweep_us` per cold sweep.
 //!
 //! ```
 //! use ephemeral_graph::generators;
@@ -157,7 +159,7 @@ struct RowEntry {
 }
 
 /// What one [`DeltaCursor::apply_label_move`] did — the observability
-/// the `delta_vs_cold` bench and the sweep rows report.
+/// the sweep rows and the benchmark's `delta.replayed_buckets` report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaApply {
     /// Buckets re-processed for real (the moved buckets plus buckets

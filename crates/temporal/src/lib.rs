@@ -111,7 +111,7 @@
 //!   guaranteed unchanged.
 //! * [`interval`]: continuous (window) availability with a Dijkstra-style
 //!   foremost; [`reference`](mod@reference): the sort-based foremost used
-//!   for differential testing and ablation benchmarking.
+//!   for differential testing.
 //!
 //! ```
 //! use ephemeral_graph::generators;

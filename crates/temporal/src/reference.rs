@@ -1,10 +1,9 @@
 //! Reference (unoptimised) implementations used for differential testing
-//! and ablation benchmarking of the design choices called out in DESIGN.md.
+//! of the design choices called out in DESIGN.md.
 //!
 //! The production foremost sweep relies on the bucket index built once per
 //! network (`O(M + a)` per source, zero sorting). The reference below
-//! re-sorts the time-edges on every call (`O(M log M)` per source) — the
-//! ablation bench `a01_ablation` quantifies what the index buys, and the
+//! re-sorts the time-edges on every call (`O(M log M)` per source), and the
 //! tests in this module pin both implementations to identical outputs.
 
 use crate::foremost::{foremost, ForemostRun};

@@ -65,8 +65,9 @@
 //!
 //! Sharded all-source sweeps (`lanes < n` over contiguous source blocks,
 //! one [`SparseSweeper`] per worker walking the shared bucket index)
-//! fold per-shard [`WideStats`] in canonical shard order, so the
-//! parallel entry points are **bit-identical for any worker count**
+//! combine their per-shard results (arrival rows, diameter terms, closure
+//! bits) in canonical shard order, so the parallel entry points are
+//! **bit-identical for any worker count**
 //! (`tests/sparse_proptests.rs` pins 1/2/8). Partial-source sweeps run
 //! **agenda-driven**: a time-keyed heap of the windows whose buckets can
 //! matter, so a shard pays only its causal cone, not the full bucket
@@ -1619,7 +1620,7 @@ mod tests {
         let n = 130usize;
         let tn = random_network(17, n, true, 80);
         let mut sweeper = SparseSweeper::new();
-        sweeper.sweep(&tn, 0..n as NodeId, 0, |_, _, _, _| {});
+        let stats = sweeper.sweep(&tn, 0..n as NodeId, 0, |_, _, _, _| {});
         let words = FrontierEngine::words_per_row(&sweeper);
         let mut streamed = vec![0u64; n * words];
         let mut visited = 0usize;
@@ -1629,6 +1630,11 @@ mod tests {
             visited += 1;
         });
         assert_eq!(visited, n, "every vertex streams exactly once");
+        assert_eq!(
+            kernels::popcount_words(&streamed),
+            stats.reached_bits,
+            "the streamed rows hold exactly the sweep's reached pairs"
+        );
         for v in 0..n as NodeId {
             for w in 0..words {
                 assert_eq!(streamed[v as usize * words + w], sweeper.reach_word(v, w));
@@ -1674,6 +1680,12 @@ mod tests {
         assert_eq!(
             EngineChoice::pick_parallel(n, occupied, m, 8),
             EngineKind::Wide
+        );
+        // Average-degree-4 G(4096, p) at a = 4n (6,328 occupied buckets,
+        // 8,066 time-edges) stays event-driven even at eight workers.
+        assert_eq!(
+            EngineChoice::pick_parallel(4096, 6328, 8066, 8),
+            EngineKind::Sparse
         );
         // `pick` is exactly the one-worker model, and the degree bound is
         // worker-independent: a high-degree instance stays wide at w = 1.

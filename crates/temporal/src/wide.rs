@@ -110,21 +110,6 @@ impl EngineKind {
     }
 }
 
-/// The `n`-only dispatch floor: `Wide` at `n ≥` [`WIDE_CROSSOVER`],
-/// `Batch` below. The all-source entry points no longer call this
-/// directly — they dispatch through the density-aware
-/// [`EngineChoice::pick`](crate::sparse::EngineChoice::pick), which keeps
-/// this batch/full-width boundary but splits the full-width side between
-/// the wide and sparse engines by occupied-bucket fill.
-#[must_use]
-pub const fn engine_for(n: usize) -> EngineKind {
-    if n >= WIDE_CROSSOVER {
-        EngineKind::Wide
-    } else {
-        EngineKind::Batch
-    }
-}
-
 /// The interface shared by the full-width frontier engines —
 /// [`WideSweeper`] and the event-driven
 /// [`SparseSweeper`](crate::sparse::SparseSweeper) — so the all-source
@@ -372,38 +357,6 @@ pub struct WideStats {
 }
 
 impl WideStats {
-    /// The all-zero stats — the identity of [`WideStats::absorb`], what
-    /// per-shard folds start from.
-    #[must_use]
-    pub const fn empty() -> Self {
-        Self {
-            lanes: 0,
-            reached_bits: 0,
-            last_arrival: 0,
-            buckets_visited: 0,
-            arena_hiwater_words: 0,
-            compactions: 0,
-            degraded: 0,
-        }
-    }
-
-    /// Fold another shard's stats into this one: counts add
-    /// (`lanes`, `reached_bits`, `compactions`, `degraded`), watermarks max
-    /// (`last_arrival`, `buckets_visited`, `arena_hiwater_words` — each
-    /// shard walks its own bucket subsequence and owns its own arena, so
-    /// the folded values are "the deepest any shard went"). Folding in
-    /// shard order is how the sharded entry points stay bit-identical
-    /// across worker counts.
-    pub fn absorb(&mut self, other: &Self) {
-        self.lanes += other.lanes;
-        self.reached_bits += other.reached_bits;
-        self.last_arrival = self.last_arrival.max(other.last_arrival);
-        self.buckets_visited = self.buckets_visited.max(other.buckets_visited);
-        self.arena_hiwater_words = self.arena_hiwater_words.max(other.arena_hiwater_words);
-        self.compactions += other.compactions;
-        self.degraded += other.degraded;
-    }
-
     /// Did every lane reach every one of the `n` vertices?
     #[must_use]
     pub const fn all_reached(&self, n: usize) -> bool {
@@ -1111,8 +1064,6 @@ mod tests {
 
     #[test]
     fn engine_dispatch_constants() {
-        assert_eq!(engine_for(WIDE_CROSSOVER - 1), EngineKind::Batch);
-        assert_eq!(engine_for(WIDE_CROSSOVER), EngineKind::Wide);
         assert_eq!(EngineKind::Scalar.name(), "scalar");
         assert_eq!(EngineKind::Batch.name(), "batch");
         assert_eq!(EngineKind::Wide.name(), "wide");

@@ -146,7 +146,8 @@ proptest! {
 
     /// `merge_into_emitting` equals the reference union + exclusives +
     /// word-grouped masks on both sides of the gallop threshold (the skew
-    /// parameters push `d.len() / src.len()` through `GALLOP_FACTOR`).
+    /// parameters push `d.len() / src.len()` through `GALLOP_FACTOR`),
+    /// and on two equal lists (nothing fresh, nothing emitted).
     #[test]
     fn merge_into_matches_references_across_skews(
         seed: u64,
@@ -156,7 +157,7 @@ proptest! {
     ) {
         let d = sorted_lanes(seed ^ 0xA, d_len, spread);
         let s = sorted_lanes(seed ^ 0xB, s_len, spread);
-        for (d, s) in [(&d, &s), (&s, &d)] {
+        for (d, s) in [(&d, &s), (&s, &d), (&d, &d)] {
             let mut out = Vec::new();
             let mut got = Vec::new();
             let fresh = kernels::merge_into_emitting(d, s, &mut out, 3, 9, &mut |v, w, m, t| {

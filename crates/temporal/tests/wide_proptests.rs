@@ -18,8 +18,9 @@ use ephemeral_temporal::distance::{
 use ephemeral_temporal::engine::BatchSweeper;
 use ephemeral_temporal::foremost::{foremost, foremost_with_horizon};
 use ephemeral_temporal::reachability::{is_temporally_connected, treach_holds};
+use ephemeral_temporal::sparse::EngineChoice;
 use ephemeral_temporal::wide::{
-    engine_for, probe_blocks, source_blocks, EngineKind, SweepScratch, WideSweeper, WIDE_CROSSOVER,
+    probe_blocks, source_blocks, EngineKind, SweepScratch, WideSweeper, WIDE_CROSSOVER,
 };
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time, NEVER};
 use proptest::prelude::*;
@@ -285,9 +286,10 @@ proptest! {
     // sources per case against n scalar oracles — fewer, heavier cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Above WIDE_CROSSOVER every all-source entry point rides the wide
-    /// engine; pin closure, distances, diameter, connectivity and T_reach
-    /// against the scalar oracle and across thread counts.
+    /// Above WIDE_CROSSOVER every all-source entry point rides a
+    /// full-width engine (wide or sparse, by density); pin closure,
+    /// distances, diameter, connectivity and T_reach against the scalar
+    /// oracle and across thread counts.
     #[test]
     fn dispatched_entry_points_match_scalar_above_the_crossover(
         seed: u64,
@@ -297,9 +299,9 @@ proptest! {
         sparse_lifetime: bool,
     ) {
         let n = WIDE_CROSSOVER + extra;
-        prop_assert_eq!(engine_for(n), EngineKind::Wide);
         let lifetime = if sparse_lifetime { 4 * n as Time } else { n as Time };
         let tn = random_network(seed, n, p, directed, 1, lifetime);
+        prop_assert_ne!(EngineChoice::pick_for(&tn), EngineKind::Batch);
 
         let matrix = all_pairs_temporal_distances(&tn, 1);
         prop_assert_eq!(&matrix, &all_pairs_temporal_distances(&tn, 4));
