@@ -320,29 +320,6 @@ pub fn parse_cell_id(line: &str) -> Option<&str> {
     Some(&rest[..end])
 }
 
-/// Run the sweep: compute every cell not already present in `resume`
-/// (lines of a previous, possibly interrupted run of the **same spec** —
-/// rows whose spec fingerprint doesn't match are recomputed, so a file
-/// from a different seed, mode or grid cannot silently corrupt the
-/// output), stream rows in canonical order through `emit` as cells
-/// complete, and return the full row list.
-///
-/// Cells are scheduled across a [`ThreadPool`] of `threads` workers, each
-/// cell evaluated single-threaded — per-cell results are deterministic, so
-/// neither the pool size nor scheduling order can change any byte of the
-/// output.
-///
-/// Equivalent to [`run_sweep_with`] under [`SweepOptions::default`]:
-/// bounded retry, no cell timeout.
-pub fn run_sweep(
-    spec: &SweepSpec,
-    threads: usize,
-    resume: &[String],
-    emit: impl FnMut(&str),
-) -> Vec<String> {
-    run_sweep_with(spec, threads, resume, SweepOptions::default(), emit)
-}
-
 /// Compute one cell's row under the per-cell fault discipline: bounded
 /// retry with the same derived seed — evaluation is deterministic in
 /// `(cell, seed)`, so a retry that survives its faults produces the
@@ -378,13 +355,25 @@ fn evaluate_cell_row(
     render_failed_row(fingerprint, cell, opts.max_attempts, panic)
 }
 
-/// [`run_sweep`] with explicit robustness knobs. Panic isolation is
-/// per-cell: an attempt that unwinds (injected fault, watchdog timeout,
-/// genuine bug) is retried up to [`SweepOptions::max_attempts`] times
-/// with the same derived seed — a successful retry's row is
-/// byte-identical to a fault-free run — and a cell that exhausts its
-/// attempts posts a `"status":"failed"` quarantine row instead of
-/// hanging or killing the stream. A job that dies **inside the pool
+/// Run the sweep: compute every cell not already present in `resume`
+/// (lines of a previous, possibly interrupted run of the **same spec** —
+/// rows whose spec fingerprint doesn't match are recomputed, so a file
+/// from a different seed, mode or grid cannot silently corrupt the
+/// output), stream rows in canonical order through `emit` as cells
+/// complete, and return the full row list.
+///
+/// Cells are scheduled across a [`ThreadPool`] of `threads` workers, each
+/// cell evaluated single-threaded — per-cell results are deterministic, so
+/// neither the pool size nor scheduling order can change any byte of the
+/// output.
+///
+/// `opts` sets the robustness knobs. Panic isolation is per-cell: an
+/// attempt that unwinds (injected fault, watchdog timeout, genuine bug) is
+/// retried up to [`SweepOptions::max_attempts`] times with the same
+/// derived seed — a successful retry's row is byte-identical to a
+/// fault-free run — and a cell that exhausts its attempts posts a
+/// `"status":"failed"` quarantine row instead of hanging or killing the
+/// stream. A job that dies **inside the pool
 /// itself** (the `pool::job` failpoint fires before the cell body runs)
 /// never fills its slot; the streaming loop detects the orphaned slot
 /// through the pool's panicked-job count and recomputes the cell inline

@@ -12,7 +12,7 @@
 //! installed by one test must not fire inside another's fault-free
 //! baseline.
 
-use ephemeral_bench::sweep::{is_failed_row, run_sweep, run_sweep_with, SweepOptions, SweepSpec};
+use ephemeral_bench::sweep::{is_failed_row, run_sweep_with, SweepOptions, SweepSpec};
 use ephemeral_core::scenario::{GraphFamily, LabelModelSpec, LifetimeRule, Metric};
 use ephemeral_parallel::adaptive::AdaptiveConfig;
 use ephemeral_parallel::faults::{self, Fault, FaultSchedule};
@@ -26,7 +26,9 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn collect(spec: &SweepSpec, threads: usize, resume: &[String]) -> Vec<String> {
     let mut streamed = Vec::new();
-    let rows = run_sweep(spec, threads, resume, |row| streamed.push(row.to_owned()));
+    let rows = run_sweep_with(spec, threads, resume, SweepOptions::default(), |row| {
+        streamed.push(row.to_owned());
+    });
     assert_eq!(rows, streamed, "emit callback must see every row, in order");
     rows
 }

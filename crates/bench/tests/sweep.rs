@@ -2,7 +2,9 @@
 //! interrupt/resume, and thread-count invariance — exercised through both
 //! the library API and the `experiments sweep` CLI.
 
-use ephemeral_bench::sweep::{is_failed_row, parse_cell_id, run_sweep, SweepSpec};
+use ephemeral_bench::sweep::{
+    is_failed_row, parse_cell_id, run_sweep_with, SweepOptions, SweepSpec,
+};
 use ephemeral_core::scenario::{GraphFamily, LabelModelSpec, LifetimeRule, Metric};
 use ephemeral_parallel::adaptive::AdaptiveConfig;
 use std::process::Command;
@@ -37,7 +39,9 @@ fn tiny_spec(seed: u64) -> SweepSpec {
 
 fn collect(spec: &SweepSpec, threads: usize, resume: &[String]) -> Vec<String> {
     let mut streamed = Vec::new();
-    let rows = run_sweep(spec, threads, resume, |row| streamed.push(row.to_owned()));
+    let rows = run_sweep_with(spec, threads, resume, SweepOptions::default(), |row| {
+        streamed.push(row.to_owned());
+    });
     assert_eq!(rows, streamed, "emit callback must see every row, in order");
     rows
 }
@@ -158,7 +162,7 @@ fn resume_rows_from_a_different_spec_are_recomputed() {
 #[test]
 fn panicking_cell_quarantines_into_failed_row_instead_of_hanging() {
     // n = 1 trips the `scenario families need at least two vertices`
-    // assert inside the worker on every attempt; run_sweep must neither
+    // assert inside the worker on every attempt; the sweep must neither
     // deadlock nor kill the stream — each broken cell posts exactly one
     // quarantined row naming the failure, in canonical order.
     let mut spec = tiny_spec(9);

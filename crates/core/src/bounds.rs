@@ -28,12 +28,6 @@ pub fn karp_transmissions(n: usize) -> f64 {
     nf * nf.ln().ln().max(0.1)
 }
 
-/// The Erdős–Rényi connectivity threshold `p = ln n / n`.
-#[must_use]
-pub fn connectivity_threshold(n: usize) -> f64 {
-    (n.max(2) as f64).ln() / n.max(2) as f64
-}
-
 /// The push protocol's expected message count on the complete graph when it
 /// runs for `rounds` rounds: one transmission per informed node per round —
 /// `Θ(n log n)` in total.
@@ -66,13 +60,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_decreases_in_n() {
-        assert!(connectivity_threshold(100) > connectivity_threshold(10_000));
-        // ln(n)/n at n = e² ≈ 7.39: sanity value.
-        assert!((connectivity_threshold(100) - 100f64.ln() / 100.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn frieze_grimmett_known_value() {
         // log2(1024) + ln(1024) = 10 + 6.931…
         assert!((frieze_grimmett(1024) - (10.0 + 1024f64.ln())).abs() < 1e-9);
@@ -81,7 +68,6 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_clamped() {
         assert!(gamma_ln(0, 1.0) > 0.0);
-        assert!(connectivity_threshold(1) > 0.0);
         assert!(karp_transmissions(1) > 0.0);
     }
 }

@@ -19,7 +19,6 @@
 
 use crate::expansion::ExpansionParams;
 use ephemeral_rng::distr::Binomial;
-use ephemeral_rng::sample::sample_indices;
 use ephemeral_rng::RandomSource;
 use ephemeral_temporal::Time;
 
@@ -142,17 +141,6 @@ pub fn expected_levels(n: u64, lifetime: Time, params: &ExpansionParams) -> Vec<
     out
 }
 
-/// Select distinct vertex ids for a frontier of the given size — exposed for
-/// callers that need concrete (but still lazily-sampled) frontier members,
-/// e.g. for visualisation.
-#[must_use]
-pub fn sample_frontier_ids(n: u64, size: usize, rng: &mut impl RandomSource) -> Vec<u64> {
-    sample_indices(n as usize, size.min(n as usize), rng)
-        .into_iter()
-        .map(|i| i as u64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,16 +209,6 @@ mod tests {
         let out = expansion_oracle(1000, 1_000_000, &params, &mut rng);
         assert!(!out.success);
         assert_eq!(out.forward_levels.len(), 3);
-    }
-
-    #[test]
-    fn frontier_ids_are_distinct() {
-        let mut rng = default_rng(4);
-        let ids = sample_frontier_ids(1000, 50, &mut rng);
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 50);
     }
 
     #[test]

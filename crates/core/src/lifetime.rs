@@ -4,70 +4,19 @@
 //! `{1, …, a}` with `a ≫ n`, the temporal diameter is `Ω((a/n)·log n)`:
 //! the arcs labelled `≤ k` form an Erdős–Rényi `G(n, p)` with `p = k/a`,
 //! which is disconnected w.h.p. while `p < ln n / n` — so some pair needs a
-//! label beyond `k ≈ (a/n)·ln n`. This module provides both sides of that
-//! argument as measurable quantities.
+//! label beyond `k ≈ (a/n)·ln n`. This module measures the connectivity
+//! side of that argument.
 
-use ephemeral_graph::algo::{connected_components, is_connected};
-use ephemeral_graph::{generators, GraphBuilder};
+use ephemeral_graph::algo::is_connected;
+use ephemeral_graph::generators;
 use ephemeral_parallel::adaptive::{adaptive_proportion, AdaptiveConfig, AdaptiveProportion};
-use ephemeral_parallel::{MonteCarlo, Proportion};
-use ephemeral_rng::RandomSource;
-use ephemeral_temporal::foremost::foremost_with_horizon;
-use ephemeral_temporal::{TemporalNetwork, Time};
-
-/// The lower-bound curve of Theorem 5: `(a/n)·ln n`.
-#[must_use]
-pub fn lifetime_lower_bound(n: usize, lifetime: Time) -> f64 {
-    f64::from(lifetime) / n as f64 * (n.max(2) as f64).ln()
-}
-
-/// Is the sub-network of arcs labelled `≤ horizon` temporally sufficient
-/// to connect a given pair? Used to probe the Theorem 5 argument directly:
-/// run the foremost sweep with a horizon and see whether the pair connects.
-#[must_use]
-pub fn pair_connected_within(tn: &TemporalNetwork, s: u32, t: u32, horizon: Time) -> bool {
-    foremost_with_horizon(tn, s, 0, horizon).reached(t)
-}
-
-/// The static graph formed by the edges with at least one label `≤ k` —
-/// the edge-induced subgraph of the Theorem 5 proof (distributed as
-/// `G(n, k/a)` under UNI-CASE).
-#[must_use]
-pub fn sub_label_graph(tn: &TemporalNetwork, k: Time) -> ephemeral_graph::Graph {
-    let g = tn.graph();
-    let mut b = if g.is_directed() {
-        GraphBuilder::new_directed(g.num_nodes())
-    } else {
-        GraphBuilder::new_undirected(g.num_nodes())
-    };
-    for (e, u, v) in g.edges() {
-        if tn.labels(e).first().is_some_and(|&l| l <= k) {
-            b.add_edge(u, v);
-        }
-    }
-    b.build().expect("subgraph of a valid graph is valid")
-}
 
 /// Empirical probability that `G(n, p)` is connected — the classical
-/// threshold the paper's lower bounds lean on (E03).
-#[must_use]
-pub fn gnp_connectivity_probability(
-    n: usize,
-    p: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> Proportion {
-    MonteCarlo::new(trials, seed)
-        .with_threads(threads)
-        .success_probability(|_, rng| is_connected(&generators::gnp(n, p, false, rng)))
-}
-
-/// [`gnp_connectivity_probability`] with adaptive trial allocation: stops
-/// once the Wilson half-width reaches the config's target (or its cap).
-/// Far from the threshold `p̂` sits at 0 or 1 and a handful of batches
-/// suffice; near `c = 1` the estimator keeps sampling — exactly where E03's
-/// S-curve needs resolution.
+/// threshold the paper's lower bounds lean on (E03) — with adaptive trial
+/// allocation: stops once the Wilson half-width reaches the config's
+/// target (or its cap). Far from the threshold `p̂` sits at 0 or 1 and a
+/// handful of batches suffice; near `c = 1` the estimator keeps sampling —
+/// exactly where E03's S-curve needs resolution.
 #[must_use]
 pub fn gnp_connectivity_probability_adaptive(
     n: usize,
@@ -81,57 +30,25 @@ pub fn gnp_connectivity_probability_adaptive(
     })
 }
 
-/// Size of the largest component of a sampled `G(n, p)`, normalised by `n`
-/// — tracks the giant-component emergence below the connectivity threshold.
-#[must_use]
-pub fn gnp_largest_component_fraction(n: usize, p: f64, rng: &mut impl RandomSource) -> f64 {
-    let g = generators::gnp(n, p, false, rng);
-    if n == 0 {
-        return 0.0;
-    }
-    let c = connected_components(&g);
-    f64::from(c.sizes.iter().copied().max().unwrap_or(0)) / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::urtn::sample_urt_clique_with_lifetime;
+    use ephemeral_graph::algo::connected_components;
     use ephemeral_rng::default_rng;
-
-    #[test]
-    fn lower_bound_curve_scales_linearly_in_lifetime() {
-        let base = lifetime_lower_bound(100, 100);
-        let double = lifetime_lower_bound(100, 200);
-        assert!((double / base - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sub_label_graph_filters_by_label() {
-        let mut rng = default_rng(1);
-        let tn = sample_urt_clique_with_lifetime(32, true, 64, &mut rng);
-        let half = sub_label_graph(&tn, 32);
-        let full = sub_label_graph(&tn, 64);
-        assert_eq!(full.num_edges(), tn.graph().num_edges());
-        assert!(half.num_edges() < full.num_edges());
-        // Every edge of `half` has a label ≤ 32.
-        for (e, u, v) in half.edges() {
-            let _ = e;
-            let orig = tn.graph().find_edge(u, v).unwrap();
-            assert!(tn.labels(orig)[0] <= 32);
-        }
-    }
+    use ephemeral_temporal::foremost::foremost_with_horizon;
 
     #[test]
     fn pair_connectivity_grows_with_horizon() {
         let mut rng = default_rng(2);
         let tn = sample_urt_clique_with_lifetime(64, true, 64, &mut rng);
+        let connected = |h| foremost_with_horizon(&tn, 0, 0, h).reached(1);
         // With the full horizon the direct arc always connects the pair.
-        assert!(pair_connected_within(&tn, 0, 1, 64));
+        assert!(connected(64));
         // Monotonicity in the horizon.
         let mut was_connected = false;
         for h in [4u32, 16, 32, 64] {
-            let now = pair_connected_within(&tn, 0, 1, h);
+            let now = connected(h);
             assert!(!was_connected || now, "connectivity must be monotone");
             was_connected = now;
         }
@@ -141,10 +58,18 @@ mod tests {
     fn gnp_threshold_behaviour() {
         let n = 256;
         let ln_n = (n as f64).ln();
+        // One batch of 30 trials, capped there.
+        let cfg = AdaptiveConfig::new(0.1)
+            .with_min_trials(30)
+            .with_batch(30)
+            .with_max_trials(30);
+        let connected = |c: f64| {
+            gnp_connectivity_probability_adaptive(n, c * ln_n / n as f64, &cfg, 3, 2).proportion
+        };
         // Well below threshold: rarely connected.
-        let below = gnp_connectivity_probability(n, 0.4 * ln_n / n as f64, 30, 3, 2);
+        let below = connected(0.4);
         // Well above: almost always connected.
-        let above = gnp_connectivity_probability(n, 2.5 * ln_n / n as f64, 30, 3, 2);
+        let above = connected(2.5);
         assert!(below.estimate < 0.3, "below: {below}");
         assert!(above.estimate > 0.8, "above: {above}");
     }
@@ -176,8 +101,12 @@ mod tests {
     fn giant_component_appears_above_1_over_n() {
         let mut rng = default_rng(4);
         let n = 512;
-        let sub = gnp_largest_component_fraction(n, 0.2 / n as f64, &mut rng);
-        let sup = gnp_largest_component_fraction(n, 3.0 / n as f64, &mut rng);
+        let mut largest_fraction = |p: f64| {
+            let c = connected_components(&generators::gnp(n, p, false, &mut rng));
+            f64::from(c.sizes.iter().copied().max().unwrap_or(0)) / n as f64
+        };
+        let sub = largest_fraction(0.2 / n as f64);
+        let sup = largest_fraction(3.0 / n as f64);
         assert!(sub < 0.2, "subcritical fraction {sub}");
         assert!(sup > 0.5, "supercritical fraction {sup}");
     }

@@ -139,7 +139,7 @@ fn warm_montecarlo_trials_do_not_allocate() {
     // `td_montecarlo` and `Scenario::evaluate` actually run per trial at
     // large n: resample in place, then `instance_temporal_diameter_scratch`
     // (wide engine, cache-blocked schedule via the allocation-free
-    // `cache_blocks` iterator).
+    // `block_schedule` iterator).
     use ephemeral_core::urtn::placeholder_network;
     use ephemeral_temporal::distance::instance_temporal_diameter_scratch;
     use ephemeral_temporal::sparse::EngineChoice;

@@ -45,22 +45,6 @@ impl SpanningTree {
             .max()
             .unwrap_or(0)
     }
-
-    /// The path of nodes from `v` up to the root (inclusive); empty if `v`
-    /// is not spanned.
-    #[must_use]
-    pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
-        if self.depth[v as usize] == UNREACHABLE {
-            return Vec::new();
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != self.root {
-            cur = self.parent[cur as usize];
-            path.push(cur);
-        }
-        path
-    }
 }
 
 /// BFS spanning tree rooted at `root`.
@@ -126,17 +110,17 @@ mod tests {
         assert!(!t.is_spanning());
         assert_eq!(t.spanned(), 3);
         assert_eq!(t.edges.len(), 2);
-        assert!(t.path_to_root(4).is_empty());
     }
 
     #[test]
     fn path_to_root_is_monotone_in_depth() {
         let g = generators::binary_tree(15);
         let t = bfs_tree(&g, 0);
-        let p = t.path_to_root(14);
-        assert_eq!(*p.last().unwrap(), 0);
-        for w in p.windows(2) {
-            assert_eq!(t.depth[w[0] as usize], t.depth[w[1] as usize] + 1);
+        let mut v = 14;
+        while v != t.root {
+            let p = t.parent[v as usize];
+            assert_eq!(t.depth[v as usize], t.depth[p as usize] + 1);
+            v = p;
         }
     }
 

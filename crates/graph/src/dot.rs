@@ -29,12 +29,6 @@ where
     out
 }
 
-/// Render a graph in DOT format without edge labels.
-#[must_use]
-pub fn to_dot(g: &Graph, name: &str) -> String {
-    to_dot_with_labels(g, name, |_| None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,7 +38,7 @@ mod tests {
     #[test]
     fn undirected_dot() {
         let g = generators::path(3);
-        let dot = to_dot(&g, "p3");
+        let dot = to_dot_with_labels(&g, "p3", |_| None);
         assert!(dot.starts_with("graph p3 {"));
         assert!(dot.contains("0 -- 1;"));
         assert!(dot.contains("1 -- 2;"));
@@ -55,7 +49,7 @@ mod tests {
     fn directed_dot_uses_arrows() {
         let mut b = GraphBuilder::new_directed(2);
         b.add_edge(0, 1);
-        let dot = to_dot(&b.build().unwrap(), "d");
+        let dot = to_dot_with_labels(&b.build().unwrap(), "d", |_| None);
         assert!(dot.starts_with("digraph d {"));
         assert!(dot.contains("0 -> 1;"));
     }
@@ -71,7 +65,7 @@ mod tests {
     #[test]
     fn isolated_nodes_are_listed() {
         let g = GraphBuilder::new_undirected(2).build().unwrap();
-        let dot = to_dot(&g, "iso");
+        let dot = to_dot_with_labels(&g, "iso", |_| None);
         assert!(dot.contains("  0;\n"));
         assert!(dot.contains("  1;\n"));
     }

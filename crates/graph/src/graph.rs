@@ -106,34 +106,6 @@ impl Graph {
         self.in_offsets[v as usize] as usize..self.in_offsets[v as usize + 1] as usize
     }
 
-    /// Out-neighbors of `v` with the connecting edge id, sorted by neighbor.
-    /// For undirected graphs this is *all* neighbors.
-    #[inline]
-    pub fn out_neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-        let r = self.out_range(v);
-        self.out_node[r.clone()]
-            .iter()
-            .copied()
-            .zip(self.out_edge[r].iter().copied())
-    }
-
-    /// In-neighbors of `v` with the connecting edge id, sorted by neighbor.
-    /// For undirected graphs this aliases [`Graph::out_neighbors`].
-    #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> Box<dyn Iterator<Item = (NodeId, EdgeId)> + '_> {
-        if self.directed {
-            let r = self.in_range(v);
-            Box::new(
-                self.in_node[r.clone()]
-                    .iter()
-                    .copied()
-                    .zip(self.in_edge[r].iter().copied()),
-            )
-        } else {
-            Box::new(self.out_neighbors(v))
-        }
-    }
-
     /// Raw out-adjacency slices `(neighbors, edge_ids)` — the zero-overhead
     /// accessor for hot loops.
     #[inline]
@@ -236,29 +208,6 @@ impl Graph {
             in_edge: self.out_edge.clone(),
         }
     }
-
-    /// The undirected graph on the same node set with an edge wherever this
-    /// graph has an arc in either direction (parallel arcs collapse). Used
-    /// for weak connectivity of directed graphs. Identity on undirected
-    /// graphs.
-    #[must_use]
-    pub fn underlying_undirected(&self) -> Self {
-        if !self.directed {
-            return self.clone();
-        }
-        let mut pairs: Vec<(u32, u32)> = self
-            .endpoints
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut b = crate::GraphBuilder::new_undirected(self.num_nodes());
-        for (u, v) in pairs {
-            b.add_edge(u, v);
-        }
-        b.build().expect("deduped canonical pairs are always valid")
-    }
 }
 
 #[cfg(test)]
@@ -298,10 +247,8 @@ mod tests {
         b.add_edge(1, 3);
         b.add_edge(3, 2);
         let g = b.build().unwrap();
-        let ins: Vec<u32> = g.in_neighbors(3).map(|(v, _)| v).collect();
-        assert_eq!(ins, vec![0, 1]);
-        let outs: Vec<u32> = g.out_neighbors(3).map(|(v, _)| v).collect();
-        assert_eq!(outs, vec![2]);
+        assert_eq!(g.in_adjacency(3).0, &[0, 1]);
+        assert_eq!(g.out_adjacency(3).0, &[2]);
     }
 
     #[test]
@@ -323,19 +270,6 @@ mod tests {
     fn reversed_undirected_is_identity() {
         let g = generators::cycle(5);
         assert_eq!(g.reversed(), g);
-    }
-
-    #[test]
-    fn underlying_undirected_collapses_arc_pairs() {
-        let mut b = GraphBuilder::new_directed(3);
-        b.add_edge(0, 1);
-        b.add_edge(1, 0);
-        b.add_edge(1, 2);
-        let g = b.build().unwrap();
-        let u = g.underlying_undirected();
-        assert!(!u.is_directed());
-        assert_eq!(u.num_edges(), 2);
-        assert!(u.has_edge(0, 1) && u.has_edge(1, 0));
     }
 
     #[test]

@@ -51,13 +51,6 @@ impl AdaptiveConfig {
         }
     }
 
-    /// Override the confidence level.
-    #[must_use]
-    pub const fn with_confidence(mut self, confidence: f64) -> Self {
-        self.confidence = confidence;
-        self
-    }
-
     /// Override the minimum trial count.
     #[must_use]
     pub const fn with_min_trials(mut self, min_trials: usize) -> Self {

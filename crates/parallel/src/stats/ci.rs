@@ -22,13 +22,6 @@ pub fn z_for_confidence(level: f64) -> f64 {
     best.1
 }
 
-/// Normal-approximation interval `mean ± z·sem`.
-#[must_use]
-pub fn normal_interval(mean: f64, sem: f64, level: f64) -> (f64, f64) {
-    let z = z_for_confidence(level);
-    (mean - z * sem, mean + z * sem)
-}
-
 /// Wilson score interval for a binomial proportion — well-behaved at the
 /// extremes (`p̂ = 0` or `1`), which success-probability experiments such as
 /// E06/E08 hit routinely.
@@ -105,13 +98,6 @@ mod tests {
         assert!((z_for_confidence(0.94) - 1.959_964).abs() < 1e-5); // snaps to 95
         assert!((z_for_confidence(0.99) - 2.575_829).abs() < 1e-5);
         assert!((z_for_confidence(0.999) - 3.290_527).abs() < 1e-5);
-    }
-
-    #[test]
-    fn normal_interval_is_symmetric() {
-        let (lo, hi) = normal_interval(10.0, 0.5, 0.95);
-        assert!((10.0 - lo - (hi - 10.0)).abs() < 1e-12);
-        assert!((hi - lo - 2.0 * 1.959_964 * 0.5).abs() < 1e-5);
     }
 
     #[test]

@@ -6,7 +6,7 @@ mod online;
 mod regression;
 mod summary;
 
-pub use ci::{normal_interval, wilson_half_width, wilson_interval, z_for_confidence};
+pub use ci::{wilson_half_width, wilson_interval, z_for_confidence};
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use regression::{fit_linear, fit_log2, LinearFit};

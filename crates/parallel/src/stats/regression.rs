@@ -16,14 +16,6 @@ pub struct LinearFit {
     pub r2: f64,
 }
 
-impl LinearFit {
-    /// Predicted response at `x`.
-    #[must_use]
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 /// Ordinary least squares on `(xs[i], ys[i])` pairs.
 ///
 /// # Panics
@@ -90,7 +82,6 @@ mod tests {
         assert!((fit.slope - 2.5).abs() < 1e-12);
         assert!((fit.intercept + 1.0).abs() < 1e-12);
         assert!((fit.r2 - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 24.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Batch summary of a sample set.
 
-use super::ci::normal_interval;
 use super::online::OnlineStats;
 
 /// Descriptive statistics of a finite sample.
@@ -60,12 +59,6 @@ impl Summary {
             q25: quantile_sorted(&sorted, 0.25),
             q75: quantile_sorted(&sorted, 0.75),
         }
-    }
-
-    /// Two-sided normal-approximation confidence interval on the mean.
-    #[must_use]
-    pub fn mean_interval(&self, level: f64) -> (f64, f64) {
-        normal_interval(self.mean, self.sem, level)
     }
 }
 
@@ -144,13 +137,6 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn quantile_rejects_empty() {
         let _ = quantile_sorted(&[], 0.5);
-    }
-
-    #[test]
-    fn mean_interval_contains_mean() {
-        let s = Summary::from_samples(&(0..100).map(f64::from).collect::<Vec<_>>());
-        let (lo, hi) = s.mean_interval(0.95);
-        assert!(lo < s.mean && s.mean < hi);
     }
 
     #[test]

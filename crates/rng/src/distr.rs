@@ -11,7 +11,6 @@
 //!   edge, drawn per a distribution F") extension.
 //! * [`Discrete`]/[`zipf_weights`] — Walker/Vose alias tables for arbitrary
 //!   finite label distributions (e.g. Zipf-skewed availability).
-//! * [`Exponential`] — continuous-interval availability extension.
 //!
 //! Every sampler is exact except two documented approximations: binomial
 //! falls back to a continuity-corrected normal only when `min(np, n(1−p)) >
@@ -177,12 +176,6 @@ impl Poisson {
         Self { lambda }
     }
 
-    /// Rate `λ`.
-    #[must_use]
-    pub const fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Draw one sample. Exact (Knuth's product method, chunked so the
     /// running product never underflows) for `λ ≤ 1024`; normal
     /// approximation beyond.
@@ -206,27 +199,6 @@ impl Poisson {
             }
         }
         total
-    }
-}
-
-/// Exponential distribution with rate `λ` (mean `1/λ`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Create with rate `λ > 0` (panics otherwise).
-    #[must_use]
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "exponential rate must be > 0, got {rate}");
-        Self { rate }
-    }
-
-    /// Draw one sample by inversion.
-    #[inline]
-    pub fn sample(&self, rng: &mut impl RandomSource) -> f64 {
-        -rng.unit_f64_open().ln() / self.rate
     }
 }
 
@@ -430,15 +402,6 @@ mod tests {
         let samples: Vec<f64> = (0..4_000).map(|_| d.sample(&mut r) as f64).collect();
         let m = mean_of(&samples);
         assert!((m - 200.0).abs() < 1.5, "mean {m}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let d = Exponential::new(0.5); // mean 2
-        let samples: Vec<f64> = (0..40_000).map(|_| d.sample(&mut r)).collect();
-        let m = mean_of(&samples);
-        assert!((m - 2.0).abs() < 0.1, "mean {m}");
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   against (uniform integers via Lemire's method, floats, Bernoulli).
 //! * [`distr`]: the distribution samplers the paper's experiments need —
 //!   binomial (for the delayed-revelation oracle's "how many arcs land in
-//!   this label window" question), geometric, Poisson, Zipf/discrete alias
-//!   tables, exponential.
-//! * [`sample`]: Fisher–Yates shuffling, Floyd's distinct-k sampling,
-//!   reservoir sampling.
+//!   this label window" question), geometric, Poisson and Zipf/discrete
+//!   alias tables.
+//! * [`sample`]: Fisher–Yates shuffling and Floyd's distinct-k sampling.
 //! * [`seeds`]: deterministic per-trial seed derivation so that a Monte Carlo
 //!   experiment run on 1 thread and on 64 threads draws identical randomness
 //!   for trial *i*.

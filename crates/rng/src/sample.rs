@@ -73,31 +73,6 @@ pub fn choose<'a, T>(items: &'a [T], rng: &mut impl RandomSource) -> Option<&'a 
     }
 }
 
-/// Reservoir sampling (Algorithm R): a uniform sample of `k` items from an
-/// iterator of unknown length. Returns fewer than `k` items iff the iterator
-/// yields fewer.
-#[must_use]
-pub fn reservoir_sample<T, I>(iter: I, k: usize, rng: &mut impl RandomSource) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-{
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    if k == 0 {
-        return reservoir;
-    }
-    for (seen, item) in iter.into_iter().enumerate() {
-        if seen < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.index(seen + 1);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,37 +184,6 @@ mod tests {
         let items = [10, 20, 30];
         for _ in 0..32 {
             assert!(items.contains(choose(&items, &mut r).unwrap()));
-        }
-    }
-
-    #[test]
-    fn reservoir_contract() {
-        let mut r = rng();
-        let s = reservoir_sample(0..1000, 10, &mut r);
-        assert_eq!(s.len(), 10);
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 10);
-
-        let short = reservoir_sample(0..3, 10, &mut r);
-        assert_eq!(short.len(), 3);
-        assert!(reservoir_sample(0..100, 0, &mut r).is_empty());
-    }
-
-    #[test]
-    fn reservoir_is_roughly_uniform() {
-        let mut r = rng();
-        let mut hits = [0u32; 10];
-        const TRIALS: usize = 40_000;
-        for _ in 0..TRIALS {
-            for x in reservoir_sample(0..10u32, 3, &mut r) {
-                hits[x as usize] += 1;
-            }
-        }
-        for &h in &hits {
-            let frac = f64::from(h) / TRIALS as f64;
-            assert!((frac - 0.3).abs() < 0.02, "{hits:?}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the PRNG stack.
 
 use ephemeral_rng::distr::{Binomial, Discrete, Geometric, Poisson};
-use ephemeral_rng::sample::{reservoir_sample, sample_indices, shuffle};
+use ephemeral_rng::sample::{sample_indices, shuffle};
 use ephemeral_rng::{RandomSource, SeedSequence, SplitMix64, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 
@@ -110,12 +110,5 @@ proptest! {
         s.dedup();
         prop_assert_eq!(s.len(), k);
         prop_assert!(s.iter().all(|&i| i < n));
-    }
-
-    #[test]
-    fn reservoir_respects_length(seed: u64, n in 0usize..200, k in 0usize..50) {
-        let mut g = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let s = reservoir_sample(0..n, k, &mut g);
-        prop_assert_eq!(s.len(), k.min(n));
     }
 }

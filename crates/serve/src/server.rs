@@ -109,13 +109,13 @@ enum ShardMsg {
 /// re-sequencing writer run on scoped threads.
 ///
 /// # Errors
-/// Only I/O errors propagate; protocol violations are answered in-band
-/// with `"status":"error"` lines.
+/// Only I/O errors propagate; protocol violations, a line that is not
+/// UTF-8 included, are answered in-band with `"status":"error"` lines.
 ///
 /// # Panics
 /// If `cfg.shards == 0`.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
-    input: R,
+    mut input: R,
     output: W,
     cfg: &ServeConfig,
 ) -> io::Result<ServeSummary> {
@@ -137,18 +137,31 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
 
         let mut seq = 0u64;
         let mut read_error = None;
-        for line in input.lines() {
-            let line = match line {
-                Ok(line) => line,
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            match input.read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(_) => {}
                 Err(e) => {
                     read_error = Some(e);
                     break;
                 }
-            };
-            if line.trim().is_empty() {
-                continue; // blank lines consume no sequence number
             }
-            match parse_request(&line) {
+            // Strip `\n` or `\r\n`, as `BufRead::lines` does.
+            if line.last() == Some(&b'\n') {
+                line.pop();
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+            }
+            let parsed = match std::str::from_utf8(&line) {
+                // Blank lines consume no sequence number.
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text),
+                Err(_) => Err("request line is not valid UTF-8".to_owned()),
+            };
+            match parsed {
                 Err(e) => {
                     let _ = out_tx.send(vec![(seq, render_error(seq, &e))]);
                 }
@@ -629,9 +642,9 @@ pub fn run_stdin(cfg: &ServeConfig) -> io::Result<ServeSummary> {
 mod tests {
     use super::*;
 
-    fn serve_script(script: &str, cfg: &ServeConfig) -> (Vec<String>, ServeSummary) {
+    fn serve_script(script: impl AsRef<[u8]>, cfg: &ServeConfig) -> (Vec<String>, ServeSummary) {
         let mut out = Vec::new();
-        let summary = serve_lines(script.as_bytes(), &mut out, cfg).expect("in-memory io");
+        let summary = serve_lines(script.as_ref(), &mut out, cfg).expect("in-memory io");
         let text = String::from_utf8(out).expect("utf8 output");
         (text.lines().map(str::to_string).collect(), summary)
     }
@@ -672,16 +685,20 @@ mod tests {
 
     #[test]
     fn rejections_are_in_band_and_do_not_stall_the_stream() {
-        let script = format!(
+        let mut script = format!(
             "this is not json\n\
              {{\"op\":\"query\",\"instance\":\"ghost\",\"type\":\"foremost\",\"u\":0,\"v\":1}}\n\
              {PATH3}\n\
              {{\"op\":\"query\",\"instance\":\"p\",\"type\":\"foremost\",\"u\":9,\"v\":0}}\n\
-             {{\"op\":\"move_label\",\"instance\":\"p\",\"edge\":7,\"from\":1,\"to\":2}}\n\
-             {{\"op\":\"query\",\"instance\":\"p\",\"type\":\"foremost\",\"u\":0,\"v\":1}}\n"
+             {{\"op\":\"move_label\",\"instance\":\"p\",\"edge\":7,\"from\":1,\"to\":2}}\n"
+        )
+        .into_bytes();
+        script.extend_from_slice(b"{\"op\":\"st\xFFats\"}\n");
+        script.extend_from_slice(
+            b"{\"op\":\"query\",\"instance\":\"p\",\"type\":\"foremost\",\"u\":0,\"v\":1}\n",
         );
         let (lines, summary) = serve_script(&script, &ServeConfig::default());
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 7);
         assert!(lines[0].starts_with(r#"{"id":0,"status":"error""#));
         assert_eq!(
             lines[1],
@@ -691,7 +708,11 @@ mod tests {
         assert!(lines[4].contains("edge 7 out of range"));
         assert_eq!(
             lines[5],
-            r#"{"id":5,"status":"ok","op":"query","type":"foremost","arrival":1}"#
+            r#"{"id":5,"status":"error","error":"request line is not valid UTF-8"}"#
+        );
+        assert_eq!(
+            lines[6],
+            r#"{"id":6,"status":"ok","op":"query","type":"foremost","arrival":1}"#
         );
         assert_eq!(summary.stats.failed, 0);
         assert_eq!(summary.stats.misses, 1);

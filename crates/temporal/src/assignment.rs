@@ -155,12 +155,6 @@ impl LabelAssignment {
         self.labels.iter().copied().min()
     }
 
-    /// Does edge `e` carry label `t`? `O(log |L_e|)`.
-    #[must_use]
-    pub fn has_label(&self, e: u32, t: Time) -> bool {
-        self.labels(e).binary_search(&t).is_ok()
-    }
-
     /// Move one label of edge `e` from `from` to `to` in place, keeping
     /// the edge's label set sorted — the `O(|L_e|)` surgery under a
     /// single-label resampling step (no other edge's slice moves).
@@ -237,13 +231,6 @@ mod tests {
         let a = LabelAssignment::from_fn(3, |e| vec![e + 1, e + 10]).unwrap();
         assert_eq!(a.labels(2), &[3, 12]);
         assert_eq!(a.total_labels(), 6);
-    }
-
-    #[test]
-    fn has_label_binary_search() {
-        let a = LabelAssignment::from_vecs(vec![vec![2, 4, 8]]).unwrap();
-        assert!(a.has_label(0, 4));
-        assert!(!a.has_label(0, 5));
     }
 
     #[test]

@@ -98,14 +98,6 @@ impl ReachabilityMatrix {
         kernels::popcount_words(row)
     }
 
-    /// Number of vertices that reach `t` (including `t`).
-    #[must_use]
-    pub fn in_count(&self, t: NodeId) -> usize {
-        (0..self.n as NodeId)
-            .filter(|&s| self.reaches(s, t))
-            .count()
-    }
-
     /// Ordered pairs `(s, t)`, `s ≠ t`, **without** a journey.
     #[must_use]
     pub fn missing_pairs(&self) -> usize {
@@ -225,7 +217,6 @@ mod tests {
         let m = ReachabilityMatrix::compute(&tn, 2);
         assert!(m.is_temporally_connected());
         assert_eq!(m.missing_pairs(), 0);
-        assert_eq!(m.in_count(3), 10);
     }
 
     #[test]

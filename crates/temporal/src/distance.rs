@@ -1,4 +1,4 @@
-//! Temporal distances, eccentricities, and the instance temporal diameter.
+//! Temporal distances and the instance temporal diameter.
 //!
 //! The paper's Temporal Diameter (Definition 5) is the **expectation over
 //! random instances** of `max_{s,t} δ(s,t)`; this module computes the inner
@@ -20,118 +20,16 @@ use crate::foremost::foremost;
 use crate::network::TemporalNetwork;
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{block_schedule, source_blocks, EngineKind, FrontierEngine, SweepScratch};
-use crate::{Time, NEVER};
+use crate::Time;
 use ephemeral_graph::NodeId;
 use ephemeral_parallel::{par_for_with, par_map_with};
 use std::ops::Range;
 
 /// Temporal distances `δ(source, ·)` (earliest arrivals from start time 0);
-/// [`NEVER`] marks unreachable vertices, and `δ(s, s) = 0`.
+/// [`NEVER`](crate::NEVER) marks unreachable vertices, and `δ(s, s) = 0`.
 #[must_use]
 pub fn temporal_distances(tn: &TemporalNetwork, source: NodeId) -> Vec<Time> {
     foremost(tn, source, 0).arrivals().to_vec()
-}
-
-/// Dense all-pairs temporal distance matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistanceMatrix {
-    n: usize,
-    data: Vec<Time>,
-}
-
-impl DistanceMatrix {
-    /// `δ(s, t)`; [`NEVER`] when unreachable.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, s: NodeId, t: NodeId) -> Time {
-        self.data[s as usize * self.n + t as usize]
-    }
-
-    /// Number of vertices.
-    #[must_use]
-    pub const fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Row `δ(s, ·)`.
-    #[must_use]
-    pub fn row(&self, s: NodeId) -> &[Time] {
-        &self.data[s as usize * self.n..(s as usize + 1) * self.n]
-    }
-
-    /// Iterate `(s, t, δ(s,t))` over ordered pairs with `s ≠ t`.
-    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId, Time)> + '_ {
-        (0..self.n as u32).flat_map(move |s| {
-            (0..self.n as u32)
-                .filter(move |&t| t != s)
-                .map(move |t| (s, t, self.get(s, t)))
-        })
-    }
-}
-
-/// All-pairs temporal distances, dispatched through the density-aware
-/// [`EngineChoice`]: above the batch crossover one full-width sweep per
-/// column block — wide on dense instances, event-driven sparse on sparse
-/// ones — parallel over blocks; below, one engine sweep per batch of 64
-/// sources, parallel over batches. Every entry bit-identical to a
-/// per-source scalar sweep on every path.
-#[must_use]
-pub fn all_pairs_temporal_distances(tn: &TemporalNetwork, threads: usize) -> DistanceMatrix {
-    let n = tn.num_nodes();
-    struct Arrivals<'a> {
-        tn: &'a TemporalNetwork,
-        threads: usize,
-    }
-    impl FrontierRun for Arrivals<'_> {
-        type Out = Vec<Vec<Time>>;
-        fn run<S: FrontierEngine>(self, shards: usize) -> Self::Out {
-            let blocks = source_blocks(self.tn.num_nodes(), shards);
-            arrival_blocks::<S>(self.tn, self.threads, &blocks)
-        }
-    }
-    let chunks =
-        EngineChoice::dispatch(tn, threads, Arrivals { tn, threads }).unwrap_or_else(|| {
-            par_for_with(batch_count(n), threads, BatchSweeper::new, |sweeper, b| {
-                let sources: Vec<NodeId> = batch_range(n, b).collect();
-                let mut rows = vec![NEVER; sources.len() * n];
-                sweeper.arrivals_into(tn, &sources, 0, &mut rows);
-                rows
-            })
-        });
-    let mut data = Vec::with_capacity(n * n);
-    for chunk in chunks {
-        data.extend(chunk);
-    }
-    DistanceMatrix { n, data }
-}
-
-/// One full-width `arrivals_into` per column block through engine `S`.
-fn arrival_blocks<S: FrontierEngine>(
-    tn: &TemporalNetwork,
-    threads: usize,
-    blocks: &[Range<NodeId>],
-) -> Vec<Vec<Time>> {
-    let n = tn.num_nodes();
-    par_map_with(blocks, threads, S::default, |sweeper, _, block| {
-        let mut rows = vec![NEVER; block.len() * n];
-        sweeper.arrivals_into(tn, block.clone(), 0, &mut rows);
-        rows
-    })
-}
-
-/// Temporal eccentricity of `source`: `max_t δ(source, t)`, or `None` when
-/// some vertex is unreachable.
-#[must_use]
-pub fn temporal_eccentricity(tn: &TemporalNetwork, source: NodeId) -> Option<Time> {
-    let arr = foremost(tn, source, 0).arrivals().to_vec();
-    let mut max = 0;
-    for &a in &arr {
-        if a == NEVER {
-            return None;
-        }
-        max = max.max(a);
-    }
-    Some(max)
 }
 
 /// `max_{s,t} δ(s,t)` of one instance, with unreachable-pair accounting.
@@ -305,7 +203,7 @@ fn reduce_batches(per_batch: impl IntoIterator<Item = (Time, usize)>) -> Instanc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LabelAssignment;
+    use crate::{LabelAssignment, NEVER};
     use ephemeral_graph::generators;
 
     fn cycle_network() -> TemporalNetwork {
@@ -325,41 +223,14 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_rows_match_single_source() {
-        let tn = cycle_network();
-        let m = all_pairs_temporal_distances(&tn, 2);
-        assert_eq!(m.n(), 4);
-        for s in 0..4u32 {
-            assert_eq!(m.row(s), temporal_distances(&tn, s).as_slice(), "row {s}");
-        }
-    }
-
-    #[test]
-    fn all_pairs_thread_invariance() {
-        let tn = cycle_network();
-        let a = all_pairs_temporal_distances(&tn, 1);
-        let b = all_pairs_temporal_distances(&tn, 8);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn pairs_iterator_skips_diagonal() {
-        let tn = cycle_network();
-        let m = all_pairs_temporal_distances(&tn, 1);
-        let pairs: Vec<_> = m.pairs().collect();
-        assert_eq!(pairs.len(), 12);
-        assert!(pairs.iter().all(|&(s, t, _)| s != t));
-    }
-
-    #[test]
     fn eccentricity_and_diameter() {
         let tn = cycle_network();
         // From 0: farthest arrival is 3 (see distances_match_foremost).
-        assert_eq!(temporal_eccentricity(&tn, 0), Some(3));
+        assert_eq!(temporal_distances(&tn, 0).into_iter().max(), Some(3));
         // From 3 the labels around the cycle are all in the past once 3's
         // incident edges fire (2-3@3, 3-0@4), so vertex 1 is unreachable
         // and the instance diameter is infinite.
-        assert_eq!(temporal_eccentricity(&tn, 3), None);
+        assert_eq!(temporal_distances(&tn, 3)[1], NEVER);
         let d = instance_temporal_diameter(&tn, 2);
         assert!(d.unreachable_pairs > 0);
         assert_eq!(d.value(), None);
@@ -397,30 +268,32 @@ mod tests {
 
     #[test]
     fn engine_matrix_matches_scalar_sweeps_across_batches() {
-        // 130 vertices = 3 batches; compare every row against the scalar
-        // oracle (the differential contract of the engine refactor).
+        // 130 vertices = 3 batches; compare the engine diameter against
+        // every row of the scalar oracle (the differential contract of the
+        // engine refactor).
         use ephemeral_rng::{RandomSource, SeedSequence};
         let mut rng = SeedSequence::new(77).rng(0);
         let g = generators::gnp(130, 0.05, false, &mut rng);
         let labels =
             LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 64)]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 64).unwrap();
-        let m = all_pairs_temporal_distances(&tn, 3);
-        for s in 0..130u32 {
-            assert_eq!(m.row(s), temporal_distances(&tn, s).as_slice(), "row {s}");
-        }
         // The diameter agrees between the parallel and reusing paths, and
-        // with a brute-force reduction of the matrix.
+        // with a brute-force reduction of the scalar arrival matrix.
         let d = instance_temporal_diameter(&tn, 3);
         let mut sweeper = crate::engine::BatchSweeper::new();
         assert_eq!(d, instance_temporal_diameter_reusing(&tn, &mut sweeper));
         let mut max = 0;
         let mut missing = 0;
-        for (_, _, t) in m.pairs() {
-            if t == NEVER {
-                missing += 1;
-            } else {
-                max = max.max(t);
+        for s in 0..130u32 {
+            for (t, a) in temporal_distances(&tn, s).into_iter().enumerate() {
+                if t == s as usize {
+                    continue;
+                }
+                if a == NEVER {
+                    missing += 1;
+                } else {
+                    max = max.max(a);
+                }
             }
         }
         assert_eq!(d.max_finite, max);
@@ -429,9 +302,9 @@ mod tests {
 
     #[test]
     fn wide_path_matches_scalar_above_the_crossover() {
-        // Above WIDE_CROSSOVER the wide engine serves all-pairs distances
-        // and the instance diameter; pin both against the scalar oracle,
-        // the batched reference, and across thread counts.
+        // Above WIDE_CROSSOVER the wide engine serves the instance
+        // diameter; pin it against the batched reference and the scratch
+        // dispatch.
         use ephemeral_rng::{RandomSource, SeedSequence};
         let n = crate::wide::WIDE_CROSSOVER + 21;
         let mut rng = SeedSequence::new(5).rng(3);
@@ -439,11 +312,6 @@ mod tests {
         let labels =
             LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 96)]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 96).unwrap();
-        let m = all_pairs_temporal_distances(&tn, 1);
-        assert_eq!(m, all_pairs_temporal_distances(&tn, 4));
-        for s in (0..n as u32).step_by(17) {
-            assert_eq!(m.row(s), temporal_distances(&tn, s).as_slice(), "row {s}");
-        }
         let d = instance_temporal_diameter(&tn, 3);
         let mut batch = crate::engine::BatchSweeper::new();
         assert_eq!(d, instance_temporal_diameter_reusing(&tn, &mut batch));
@@ -459,13 +327,5 @@ mod tests {
             instance_temporal_diameter_scratch(&tn, &mut scratch),
             instance_temporal_diameter(&tn, 1)
         );
-    }
-
-    #[test]
-    fn eccentricity_none_when_unreachable() {
-        let g = generators::path(3);
-        let labels = LabelAssignment::from_vecs(vec![vec![2], vec![1]]).unwrap();
-        let tn = TemporalNetwork::new(g, labels, 2).unwrap();
-        assert_eq!(temporal_eccentricity(&tn, 0), None);
     }
 }

@@ -30,8 +30,7 @@
 //!   once all `lanes · n` bits are full, is `max_{s,t} δ(s,t)` of the batch
 //!   with no arrival matrix needed ([`SweepStats::last_arrival`]).
 //!
-//! [`ReachabilityMatrix`](crate::closure::ReachabilityMatrix), the
-//! all-pairs [`DistanceMatrix`](crate::distance::DistanceMatrix),
+//! [`ReachabilityMatrix`](crate::closure::ReachabilityMatrix),
 //! [`instance_temporal_diameter`](crate::distance::instance_temporal_diameter)
 //! and the `T_reach` checks in [`reachability`](crate::reachability) run
 //! through this kernel below

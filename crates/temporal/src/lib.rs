@@ -20,9 +20,8 @@
 //! * [`TemporalNetwork`]: graph + labels + lifetime, with a label-bucketed
 //!   time-edge index so journey sweeps run in `O(M + a)` per source, where
 //!   `M` is the number of time-edges.
-//! * [`foremost`]: earliest-arrival journeys (with reconstruction),
-//!   [`reverse`]: latest-departure journeys, [`fastest`]: minimum-duration
-//!   journeys, [`hops`]: hop-bounded reachability / fewest-hop journeys.
+//! * [`foremost`]: earliest-arrival journeys (with reconstruction), and
+//!   [`reverse`]: their latest-departure dual.
 //! * [`engine`]: the bit-parallel multi-source sweep kernel — up to 64
 //!   sources per pass over the time-edge index, with arrivals guaranteed
 //!   **bit-identical** to per-source scalar `foremost` sweeps (property
@@ -52,8 +51,8 @@
 //!   and event-driven for genuinely sparse ones — with the worker-aware
 //!   `pick_parallel` crediting the wide engine's column-block
 //!   parallelism when entry points fan out.
-//! * [`distance`]: all-pairs temporal distances, temporal eccentricity and
-//!   the instance temporal diameter — engine-dispatched through
+//! * [`distance`]: single-source temporal distances and the instance
+//!   temporal diameter — engine-dispatched through
 //!   [`sparse::EngineChoice`].
 //! * [`reachability`]: temporal reach sets and the paper's `T_reach`
 //!   property ("every static path is matched by a journey", Definition 6) —
@@ -83,8 +82,6 @@
 //!   the `T_reach` probes and batched closure fallbacks share its
 //!   lane-pass core, so point and all-pairs code answer from one
 //!   semantics contract (`tests/session_proptests.rs`).
-//! * [`expanded`]: the Kempe–Kleinberg–Kumar time-expanded graph with
-//!   max-flow counting of time-edge-disjoint journeys.
 //! * In-place reuse: [`LabelAssignment::refill_single`] /
 //!   [`LabelAssignment::refill_with`] redraw labels into existing buffers
 //!   and [`TemporalNetwork::replace_assignment`] rebuilds the time-edge
@@ -109,9 +106,8 @@
 //!   evacuations and a tight closure byte budget shrinks row blocks,
 //!   both counted in [`wide::WideStats::degraded`] with arrivals
 //!   guaranteed unchanged.
-//! * [`interval`]: continuous (window) availability with a Dijkstra-style
-//!   foremost; [`reference`](mod@reference): the sort-based foremost used
-//!   for differential testing.
+//! * [`reference`](mod@reference): the sort-based foremost used for
+//!   differential testing.
 //!
 //! ```
 //! use ephemeral_graph::generators;
@@ -135,11 +131,7 @@ pub mod closure;
 pub mod delta;
 pub mod distance;
 pub mod engine;
-pub mod expanded;
-pub mod fastest;
 pub mod foremost;
-pub mod hops;
-pub mod interval;
 mod journey;
 pub mod kernels;
 pub mod metrics;

@@ -262,19 +262,6 @@ impl TemporalNetwork {
         Some(LabelMove { edge: e, from, to })
     }
 
-    /// Convenience: lifetime defaults to the maximum label present (or 1
-    /// for an unlabelled network).
-    ///
-    /// # Errors
-    /// See [`TemporalError`].
-    pub fn with_inferred_lifetime(
-        graph: Graph,
-        assignment: LabelAssignment,
-    ) -> Result<Self, TemporalError> {
-        let lifetime = assignment.max_label().unwrap_or(1);
-        Self::new(graph, assignment, lifetime)
-    }
-
     /// The underlying static graph `G`.
     #[must_use]
     pub fn graph(&self) -> &Graph {
@@ -457,23 +444,6 @@ mod tests {
             TemporalNetwork::new(g, a, 0).unwrap_err(),
             TemporalError::ZeroLifetime
         );
-    }
-
-    #[test]
-    fn inferred_lifetime_is_max_label() {
-        let g = generators::path(3);
-        let a = LabelAssignment::from_vecs(vec![vec![2], vec![7]]).unwrap();
-        let tn = TemporalNetwork::with_inferred_lifetime(g, a).unwrap();
-        assert_eq!(tn.lifetime(), 7);
-    }
-
-    #[test]
-    fn inferred_lifetime_of_unlabelled_network_is_one() {
-        let g = generators::path(3);
-        let a = LabelAssignment::from_vecs(vec![vec![], vec![]]).unwrap();
-        let tn = TemporalNetwork::with_inferred_lifetime(g, a).unwrap();
-        assert_eq!(tn.lifetime(), 1);
-        assert_eq!(tn.edges_at(1), &[] as &[u32]);
     }
 
     #[test]

@@ -38,12 +38,6 @@ pub fn temporal_reach(tn: &TemporalNetwork, source: NodeId) -> Vec<bool> {
         .collect()
 }
 
-/// Number of vertices reachable by journeys from `source` (incl. itself).
-#[must_use]
-pub fn temporal_reach_count(tn: &TemporalNetwork, source: NodeId) -> usize {
-    foremost(tn, source, 0).reached_count()
-}
-
 /// Is every ordered pair `(s, t)` connected by a journey? (The clique with
 /// one label per edge trivially satisfies this; most sparse networks do
 /// not.) Below the batch crossover: one engine sweep per batch of 64
@@ -346,7 +340,6 @@ mod tests {
         let labels = LabelAssignment::single(vec![1, 2, 3]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 3).unwrap();
         assert_eq!(temporal_reach(&tn, 0), vec![true; 4]);
-        assert_eq!(temporal_reach_count(&tn, 0), 4);
         // From the far end the labels all decrease.
         assert_eq!(temporal_reach(&tn, 3), vec![false, false, true, true]);
     }

@@ -7,10 +7,9 @@
 //! of `t`" of the paper's §3.3 in algorithmic form: the sweep walks labels
 //! in *decreasing* order and relaxes arcs backwards.
 
-use crate::journey::{Journey, TimeEdge};
 use crate::network::TemporalNetwork;
 use crate::Time;
-use ephemeral_graph::{NodeId, INVALID_NODE};
+use ephemeral_graph::NodeId;
 
 /// Result of a latest-departure sweep towards a target.
 #[derive(Debug, Clone)]
@@ -20,7 +19,6 @@ pub struct ReverseRun {
     /// `0` means "no journey from here by the deadline"; the target itself
     /// holds `deadline + 1` (saturating), meaning "already there".
     latest: Vec<Time>,
-    child: Vec<NodeId>,
 }
 
 impl ReverseRun {
@@ -52,37 +50,6 @@ impl ReverseRun {
     pub fn reaches(&self, u: NodeId) -> bool {
         u == self.target || self.latest[u as usize] != 0
     }
-
-    /// Number of vertices that can reach the target (including itself).
-    #[must_use]
-    pub fn reach_count(&self) -> usize {
-        self.latest
-            .iter()
-            .enumerate()
-            .filter(|&(u, &t)| t != 0 || u == self.target as usize)
-            .count()
-    }
-
-    /// Reconstruct a latest-departure journey from `u` to the target.
-    #[must_use]
-    pub fn journey_from(&self, u: NodeId) -> Option<Journey> {
-        if u == self.target || self.latest[u as usize] == 0 {
-            return None;
-        }
-        let mut steps = Vec::new();
-        let mut cur = u;
-        while cur != self.target {
-            let next = self.child[cur as usize];
-            debug_assert_ne!(next, INVALID_NODE);
-            steps.push(TimeEdge {
-                from: cur,
-                to: next,
-                time: self.latest[cur as usize],
-            });
-            cur = next;
-        }
-        Some(Journey::new(steps).expect("reverse sweep invariants produce valid journeys"))
-    }
 }
 
 /// Latest-departure sweep towards `target` with arrival deadline `deadline`
@@ -111,7 +78,6 @@ pub fn latest_departure(tn: &TemporalNetwork, target: NodeId, deadline: Time) ->
     assert!((target as usize) < n, "target {target} out of range");
     let directed = tn.graph().is_directed();
     let mut latest = vec![0 as Time; n];
-    let mut child = vec![INVALID_NODE; n];
     // The target can "depart" at any time up to deadline+1 exclusive — the
     // sentinel lets the uniform relaxation `latest[head] >= t + 1` encode
     // "the final edge label may be at most the deadline".
@@ -124,11 +90,9 @@ pub fn latest_departure(tn: &TemporalNetwork, target: NodeId, deadline: Time) ->
             // after t.
             if latest[v as usize] > t && latest[u as usize] < t && u != target {
                 latest[u as usize] = t;
-                child[u as usize] = v;
             }
             if !directed && latest[u as usize] > t && latest[v as usize] < t && v != target {
                 latest[v as usize] = t;
-                child[v as usize] = u;
             }
         }
         t -= 1;
@@ -137,7 +101,6 @@ pub fn latest_departure(tn: &TemporalNetwork, target: NodeId, deadline: Time) ->
         target,
         deadline,
         latest,
-        child,
     }
 }
 
@@ -163,7 +126,6 @@ mod tests {
         assert_eq!(run.departure(2), Some(3));
         assert_eq!(run.departure(3), None); // target itself
         assert!(run.reaches(3));
-        assert_eq!(run.reach_count(), 4);
     }
 
     #[test]
@@ -172,8 +134,8 @@ mod tests {
         let run = latest_departure(&tn, 3, 2);
         // The last hop needs label 3 > deadline.
         assert!(!run.reaches(0));
+        assert!(!run.reaches(1));
         assert!(!run.reaches(2));
-        assert_eq!(run.reach_count(), 1);
     }
 
     #[test]
@@ -183,19 +145,6 @@ mod tests {
         let run = latest_departure(&tn, 2, 9);
         assert_eq!(run.departure(0), Some(2));
         assert_eq!(run.departure(1), Some(5));
-    }
-
-    #[test]
-    fn journeys_are_valid_and_depart_latest() {
-        let tn = path_network(vec![vec![1, 2, 9], vec![5], vec![6, 7]], 9);
-        let run = latest_departure(&tn, 3, 9);
-        let j = run.journey_from(0).unwrap();
-        assert_eq!(j.source(), 0);
-        assert_eq!(j.target(), 3);
-        assert_eq!(j.departure(), run.departure(0).unwrap());
-        assert!(j.arrival() <= 9);
-        assert!(j.is_realizable_in(&tn));
-        assert!(run.journey_from(3).is_none());
     }
 
     #[test]
@@ -210,7 +159,7 @@ mod tests {
         assert_eq!(run.departure(1), Some(2));
         // Target of the reversed question: node 0 has no incoming journey.
         let run0 = latest_departure(&tn, 0, 2);
-        assert_eq!(run0.reach_count(), 1);
+        assert!(!run0.reaches(1) && !run0.reaches(2));
     }
 
     #[test]
@@ -239,7 +188,6 @@ mod tests {
         // 0 -> 2 needs increasing labels 2 then 1: impossible.
         let run = latest_departure(&tn, 2, 2);
         assert_eq!(run.departure(0), None);
-        assert!(run.journey_from(0).is_none());
     }
 
     #[test]

@@ -258,14 +258,6 @@ pub fn cache_block_count(n: usize) -> usize {
     n.div_ceil(64 * BLOCK_WORDS).max(1)
 }
 
-/// The allocation-free iterator form of
-/// `source_blocks(n, cache_block_count(n))` — the sequential
-/// cache-blocked sweep schedule of the Monte Carlo scratch paths, which
-/// must not heap-allocate per trial.
-pub fn cache_blocks(n: usize) -> impl Iterator<Item = Range<NodeId>> {
-    block_schedule(n, cache_block_count(n))
-}
-
 /// The allocation-free iterator form of [`source_blocks`]`(n, shards)`:
 /// the same word-aligned column-block schedule, yielded lazily — what the
 /// sequential scratch paths iterate so they never heap-allocate per
@@ -910,7 +902,7 @@ mod tests {
     #[test]
     fn cache_blocks_iterator_matches_source_blocks() {
         for n in [1usize, 63, 64, 1000, 1024, 1025, 1100, 5000] {
-            let collected: Vec<_> = cache_blocks(n).collect();
+            let collected: Vec<_> = block_schedule(n, cache_block_count(n)).collect();
             assert_eq!(collected, source_blocks(n, cache_block_count(n)), "n {n}");
         }
     }

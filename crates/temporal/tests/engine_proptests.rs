@@ -10,7 +10,7 @@ use ephemeral_graph::NodeId;
 use ephemeral_rng::{RandomSource, SeedSequence};
 use ephemeral_temporal::closure::ReachabilityMatrix;
 use ephemeral_temporal::distance::{
-    all_pairs_temporal_distances, instance_temporal_diameter, instance_temporal_diameter_reusing,
+    instance_temporal_diameter, instance_temporal_diameter_reusing,
 };
 use ephemeral_temporal::engine::{batch_count, batch_range, BatchSweeper, MAX_LANES};
 use ephemeral_temporal::foremost::foremost;
@@ -95,10 +95,9 @@ proptest! {
         }
     }
 
-    /// The all-pairs distance matrix is row-for-row the scalar sweep, and
-    /// the instance diameter (engine stats, no matrix) agrees with a brute
-    /// reduction of that matrix — including the parallel and the
-    /// sweeper-reusing sequential paths.
+    /// The instance diameter (engine stats, no matrix) agrees with a brute
+    /// reduction of the scalar sweeps' arrival matrix — including the
+    /// parallel and the sweeper-reusing sequential paths.
     #[test]
     fn distances_and_diameter_match_scalar(
         seed: u64,
@@ -109,12 +108,10 @@ proptest! {
     ) {
         let lifetime = (n as Time).max(3);
         let tn = random_network(seed, n, p, directed, max_labels, lifetime);
-        let matrix = all_pairs_temporal_distances(&tn, 2);
         let mut max_finite: Time = 0;
         let mut missing = 0usize;
         for s in 0..n as NodeId {
             let oracle = foremost(&tn, s, 0);
-            prop_assert_eq!(matrix.row(s), oracle.arrivals(), "row {}", s);
             for (v, &a) in oracle.arrivals().iter().enumerate() {
                 if a == NEVER {
                     missing += 1;
@@ -172,8 +169,14 @@ proptest! {
         )
         .unwrap();
         tn.replace_assignment(fresh_labels).unwrap();
-        let a = all_pairs_temporal_distances(&tn, 1);
-        let b = all_pairs_temporal_distances(&fresh, 1);
-        prop_assert_eq!(a, b);
+        let mut sweeper = BatchSweeper::new();
+        for b in 0..batch_count(n) {
+            let sources: Vec<NodeId> = batch_range(n, b).collect();
+            let mut replaced = vec![NEVER; sources.len() * n];
+            let mut built = vec![NEVER; sources.len() * n];
+            sweeper.arrivals_into(&tn, &sources, 0, &mut replaced);
+            sweeper.arrivals_into(&fresh, &sources, 0, &mut built);
+            prop_assert_eq!(replaced, built, "batch {}", b);
+        }
     }
 }

@@ -2,10 +2,7 @@
 //! executable specifications.
 
 use ephemeral_graph::generators;
-use ephemeral_temporal::expanded::max_disjoint_journeys;
-use ephemeral_temporal::fastest::fastest_journey;
 use ephemeral_temporal::foremost::foremost;
-use ephemeral_temporal::hops::min_hops;
 use ephemeral_temporal::metrics::temporal_metrics;
 use ephemeral_temporal::reachability::treach_holds;
 use ephemeral_temporal::reverse::latest_departure;
@@ -72,45 +69,15 @@ fn clique_is_the_only_single_label_safe_graph() {
     assert!(!treach_holds(&tn2, 1));
 }
 
-/// Kempe–Kleinberg–Kumar flavour: disjoint journeys obey the obvious cuts
-/// and the time-expanded flow finds them.
-#[test]
-fn disjoint_journeys_respect_cuts() {
-    // Two internally disjoint temporal routes 0 → 3 plus a shared slow one.
-    //    0 —1→ 1 —2→ 3
-    //    0 —1→ 2 —2→ 3
-    // All four edges distinct: flow should be 2.
-    let mut b = ephemeral_graph::GraphBuilder::new_undirected(4);
-    b.add_edge(0, 1);
-    b.add_edge(1, 3);
-    b.add_edge(0, 2);
-    b.add_edge(2, 3);
-    let g = b.build().unwrap();
-    let labels = LabelAssignment::from_vecs(vec![vec![1], vec![2], vec![1], vec![2]]).unwrap();
-    let tn = TemporalNetwork::new(g, labels, 3).unwrap();
-    assert_eq!(max_disjoint_journeys(&tn, 0, 3), 2);
-
-    // Make both routes cross one bottleneck edge {1,3}: flow collapses to
-    // its label count.
-    let mut b = ephemeral_graph::GraphBuilder::new_undirected(4);
-    b.add_edge(0, 1);
-    b.add_edge(0, 2);
-    b.add_edge(2, 1);
-    b.add_edge(1, 3);
-    let g = b.build().unwrap();
-    let labels = LabelAssignment::from_vecs(vec![vec![1], vec![1], vec![2], vec![3]]).unwrap();
-    let tn = TemporalNetwork::new(g, labels, 3).unwrap();
-    assert_eq!(max_disjoint_journeys(&tn, 0, 3), 1);
-}
-
-/// Bui-Xuan–Ferreira–Jarry: foremost ≠ fastest ≠ fewest-hops, on one
-/// instance exhibiting all three optima on different journeys.
+/// Bui-Xuan–Ferreira–Jarry: journey optima diverge. On one instance the
+/// foremost journey and the latest-departure journey take different
+/// routes.
 #[test]
 fn three_journey_notions_diverge() {
     // 0—1—2 path with an extra direct edge 0—2.
-    //   direct 0—2 @ {9}        : 1 hop, arrival 9, duration 1
-    //   0—1 @ {1,6}, 1—2 @ {2,7}: arrival 2 (foremost, depart 1, duration 2)
-    //                             or depart 6 arrive 7 (duration 2)
+    //   direct 0—2 @ {9}        : 1 hop, departure and arrival 9
+    //   0—1 @ {1,6}, 1—2 @ {2,7}: arrival 2 (foremost, depart 1)
+    //                             or depart 6 arrive 7
     let mut b = ephemeral_graph::GraphBuilder::new_undirected(3);
     b.add_edge(0, 1);
     b.add_edge(1, 2);
@@ -124,16 +91,7 @@ fn three_journey_notions_diverge() {
     assert_eq!(run.arrival(2), Some(2));
     assert_eq!(run.journey_to(2).unwrap().hops(), 2);
 
-    // Fewest hops: the direct edge, 1 hop.
-    let hops = min_hops(&tn, 0, 5);
-    assert_eq!(hops[2], 1);
-
-    // Fastest: duration 1 via the direct edge (depart 9, arrive 9).
-    let fastest = fastest_journey(&tn, 0, 2).unwrap();
-    assert_eq!(fastest.duration, 1);
-    assert_eq!(fastest.departure, 9);
-
-    // Latest departure towards 2 by deadline 9: also the direct edge.
+    // Latest departure towards 2 by deadline 9: the direct edge.
     let rev = latest_departure(&tn, 2, 9);
     assert_eq!(rev.departure(0), Some(9));
 }

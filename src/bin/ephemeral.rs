@@ -52,6 +52,18 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v}")),
         }
     }
+
+    /// [`Args::parse`] for a count that must be at least 1.
+    fn positive<T>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + From<u8> + std::fmt::Display,
+    {
+        let v = self.parse(name, default)?;
+        if v < T::from(1) {
+            return Err(format!("{name} must be at least 1, got {v}"));
+        }
+        Ok(v)
+    }
 }
 
 /// Parse a graph spec like `grid:8x8` (see module docs for the grammar).
@@ -61,16 +73,31 @@ fn parse_graph(spec: &str, directed: bool, seed: u64) -> Result<Graph, String> {
         s.parse()
             .map_err(|_| format!("bad size in graph spec: {spec}"))
     };
+    // The generators' preconditions, so that a bad size is an error
+    // rather than a panic.
+    let at_least = |s: &str, min: usize| -> Result<usize, String> {
+        let v = int(s)?;
+        if v < min {
+            return Err(format!("{kind} needs a size of at least {min}, got {v}"));
+        }
+        Ok(v)
+    };
     match kind {
         "clique" => Ok(generators::clique(int(rest)?, directed)),
-        "star" => Ok(generators::star(int(rest)?)),
+        "star" => Ok(generators::star(at_least(rest, 1)?)),
         "path" => Ok(generators::path(int(rest)?)),
-        "cycle" => Ok(generators::cycle(int(rest)?)),
-        "wheel" => Ok(generators::wheel(int(rest)?)),
-        "hypercube" => Ok(generators::hypercube(int(rest)? as u32)),
+        "cycle" => Ok(generators::cycle(at_least(rest, 3)?)),
+        "wheel" => Ok(generators::wheel(at_least(rest, 4)?)),
+        "hypercube" => {
+            let dim = int(rest)?;
+            if dim >= 31 {
+                return Err(format!("hypercube dimension must be below 31, got {dim}"));
+            }
+            Ok(generators::hypercube(dim as u32))
+        }
         "tree" => {
             let mut rng = default_rng(seed ^ 0x7ee);
-            Ok(generators::random_tree(int(rest)?, &mut rng))
+            Ok(generators::random_tree(at_least(rest, 1)?, &mut rng))
         }
         "grid" | "torus" => {
             let (r, c) = rest
@@ -79,14 +106,17 @@ fn parse_graph(spec: &str, directed: bool, seed: u64) -> Result<Graph, String> {
             if kind == "grid" {
                 Ok(generators::grid(int(r)?, int(c)?))
             } else {
-                Ok(generators::torus(int(r)?, int(c)?))
+                Ok(generators::torus(at_least(r, 3)?, at_least(c, 3)?))
             }
         }
         "gnp" => {
-            let (n, p) = rest
+            let (n, p_text) = rest
                 .split_once(':')
                 .ok_or_else(|| format!("gnp needs N:P, got {rest}"))?;
-            let p: f64 = p.parse().map_err(|_| format!("bad p: {p}"))?;
+            let p: f64 = p_text.parse().map_err(|_| format!("bad p: {p_text}"))?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("gnp needs p in [0, 1], got {p_text}"));
+            }
             let mut rng = default_rng(seed ^ 0x6e9);
             Ok(generators::gnp(int(n)?, p, directed, &mut rng))
         }
@@ -117,7 +147,7 @@ fn run() -> Result<(), String> {
             let directed = args.flag("--directed");
             let spec = args.value("--graph").unwrap_or("clique:16");
             let g = parse_graph(spec, directed, seed)?;
-            let lifetime: u32 = args.parse("--lifetime", g.num_nodes().max(1) as u32)?;
+            let lifetime: u32 = args.positive("--lifetime", g.num_nodes().max(1) as u32)?;
             let mut rng = default_rng(seed);
             let tn = sample_urtn(g, lifetime, &mut rng);
             if args.flag("--dot") {
@@ -148,8 +178,8 @@ fn run() -> Result<(), String> {
         "diameter" => {
             let spec = args.value("--graph").unwrap_or("clique:128");
             let g = parse_graph(spec, true, seed)?;
-            let lifetime: u32 = args.parse("--lifetime", g.num_nodes().max(1) as u32)?;
-            let trials: usize = args.parse("--trials", 20)?;
+            let lifetime: u32 = args.positive("--lifetime", g.num_nodes().max(1) as u32)?;
+            let trials: usize = args.positive("--trials", 20)?;
             let est = td_montecarlo(&g, lifetime, trials, seed, threads);
             println!(
                 "TD({spec}, a={lifetime}) over {trials} trials: mean {:.2} (sd {:.2}, min {} max {}), \
@@ -163,7 +193,7 @@ fn run() -> Result<(), String> {
             );
         }
         "flood" => {
-            let n: usize = args.parse("--n", 1024)?;
+            let n: usize = args.positive("--n", 1024)?;
             if args.flag("--oracle") {
                 let mut rng = default_rng(seed);
                 let out = flood_oracle_clique(n as u64, n as u32, &mut rng);
@@ -190,8 +220,8 @@ fn run() -> Result<(), String> {
         "reach" => {
             let spec = args.value("--graph").unwrap_or("grid:8x8");
             let g = parse_graph(spec, false, seed)?;
-            let r: usize = args.parse("--r", 8)?;
-            let trials: usize = args.parse("--trials", 100)?;
+            let r: usize = args.positive("--r", 8)?;
+            let trials: usize = args.positive("--trials", 100)?;
             let lifetime = g.num_nodes().max(2) as u32;
             let p = treach_probability(&g, lifetime, r, trials, seed, threads);
             println!("P[T_reach]({spec}, r={r}) = {p}");
@@ -199,7 +229,7 @@ fn run() -> Result<(), String> {
         "por" => {
             let spec = args.value("--graph").unwrap_or("star:64");
             let g = parse_graph(spec, false, seed)?;
-            let trials: usize = args.parse("--trials", 60)?;
+            let trials: usize = args.positive("--trials", 60)?;
             match por_report(&g, spec, trials, seed, threads) {
                 Some(rep) => println!(
                     "{spec}: n={} m={} d={} r*={} OPT≤{} ({}) PoR∈[{:.1},{:.1}] Thm8={:.1}",

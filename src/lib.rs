@@ -8,16 +8,16 @@
 //! This facade re-exports the whole workspace:
 //!
 //! * [`graph`] — CSR (di)graph substrate, generators, classical algorithms.
-//! * [`temporal`] — labels, journeys, foremost / latest-departure / fastest
-//!   journey algorithms, temporal distances and `T_reach`; the
+//! * [`temporal`] — labels, journeys, foremost journeys and their
+//!   latest-departure dual, temporal distances and `T_reach`; the
 //!   `engine` module batches 64 sources per sweep, the `wide` module
 //!   answers **all** sources in one pass (saturation early-exit,
 //!   empty-bucket skipping, column-block sharding), and the `sparse`
 //!   module drives the same closure event-style from sorted reacher
 //!   lists for the sparse regime (deterministic source-sharded parallel
 //!   folds, arena compaction, byte-budgeted streaming closure — million-
-//!   vertex capable) — the all-pairs closure, distance,
-//!   diameter and connectivity entry points dispatch between all three
+//!   vertex capable) — the all-pairs closure, diameter,
+//!   connectivity and metrics entry points dispatch between all three
 //!   through the density-aware, worker-aware `sparse::EngineChoice`; the
 //!   `delta`
 //!   module maintains a recorded closure **differentially** across

@@ -61,11 +61,54 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// A bad input exits 1 with an error naming it, then the usage line — not
+/// a panic (exit 101).
+fn assert_rejected(args: &[&str], error: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_ephemeral"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(error), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+}
+
 #[test]
 fn bad_graph_spec_fails_cleanly() {
-    let (ok, _, stderr) = run(&["sample", "--graph", "mobius:9"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown graph kind"), "{stderr}");
+    for (spec, error) in [
+        ("mobius:9", "unknown graph kind"),
+        ("gnp:10:1.5", "p in [0, 1], got 1.5"),
+        ("gnp:10:-1", "p in [0, 1], got -1"),
+        ("gnp:10:nan", "p in [0, 1], got nan"),
+        ("hypercube:40", "below 31, got 40"),
+        ("cycle:2", "at least 3, got 2"),
+        ("torus:2x5", "at least 3, got 2"),
+    ] {
+        assert_rejected(&["sample", "--graph", spec], error);
+    }
+}
+
+#[test]
+fn out_of_range_values_fail_cleanly() {
+    for (args, error) in [
+        (&["flood", "--n", "0"][..], "--n must be at least 1, got 0"),
+        (
+            &["diameter", "--trials", "0"],
+            "--trials must be at least 1, got 0",
+        ),
+        (
+            &["por", "--trials", "0"],
+            "--trials must be at least 1, got 0",
+        ),
+        (&["reach", "--r", "0"], "--r must be at least 1, got 0"),
+        (
+            &["sample", "--lifetime", "0"],
+            "--lifetime must be at least 1, got 0",
+        ),
+    ] {
+        assert_rejected(args, error);
+    }
 }
 
 #[test]
