@@ -194,7 +194,10 @@ impl SweepSpec {
         eat(b"rowfmt:6");
         eat(&self.seed.to_le_bytes());
         eat(&self.adaptive.target_half_width.to_bits().to_le_bytes());
-        eat(&self.adaptive.confidence.to_bits().to_le_bytes());
+        // The confidence level, fixed at 95% since it stopped being a
+        // setting: its bits stay in the hash so every row's `spec` and
+        // every existing `--resume` file keep their fingerprint.
+        eat(&0.95f64.to_bits().to_le_bytes());
         eat(&self.adaptive.min_trials.to_le_bytes());
         eat(&self.adaptive.max_trials.to_le_bytes());
         eat(&self.adaptive.batch.to_le_bytes());

@@ -147,6 +147,16 @@ fn different_seeds_change_results_but_not_cell_ids() {
 }
 
 #[test]
+fn quick_spec_fingerprint_is_pinned() {
+    // Every row's `spec` field and every existing `--resume` file carry
+    // this value; a change here silently recomputes resumed rows.
+    assert_eq!(
+        SweepSpec::quick(20140623).fingerprint(),
+        0x0958_d73d_8389_5729
+    );
+}
+
+#[test]
 fn resume_rows_from_a_different_spec_are_recomputed() {
     // Same grid, different seed: ids match but the fingerprint differs, so
     // the stale rows must be ignored — the output equals a fresh run, not a

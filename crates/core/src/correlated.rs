@@ -12,7 +12,7 @@
 //! Per step the `T_reach` sample itself is O(1): journeys are paths, so
 //! temporal reach is a subset of static reach source by source, and the
 //! **total** maintained bit count equals the static total iff every
-//! source matches ([`static_reachable_pairs`]). No per-step sweep, no
+//! source matches ([`StaticReach::total`]). No per-step sweep, no
 //! per-step comparison pass.
 //!
 //! ## Statistics, honestly
@@ -35,40 +35,15 @@
 //! CI per sweep, not the cheapest sample per step.
 
 use crate::urtn::{placeholder_network, propose_label_move, resample_single_in_place};
-use ephemeral_graph::algo::{bfs_distances, connected_components, UNREACHABLE};
 use ephemeral_graph::Graph;
 use ephemeral_parallel::par_map_with;
 use ephemeral_rng::SeedSequence;
+use ephemeral_temporal::reachability::StaticReach;
 use ephemeral_temporal::wide::SweepScratch;
 use ephemeral_temporal::{LabelAssignment, Time};
 
 /// Seed stream tag for the per-chain rng streams.
 const CHAIN_STREAM: u64 = 0xC0;
-
-/// Ordered static reachability count of `graph`, **including** each
-/// vertex reaching itself — the `reached_bits` total a temporal closure
-/// attains exactly when the assignment satisfies `T_reach`
-/// (Definition 6). Undirected graphs sum squared component sizes;
-/// directed graphs run one BFS per source.
-#[must_use]
-pub fn static_reachable_pairs(graph: &Graph) -> usize {
-    if graph.is_directed() {
-        (0..graph.num_nodes() as u32)
-            .map(|s| {
-                bfs_distances(graph, s)
-                    .iter()
-                    .filter(|&&d| d != UNREACHABLE)
-                    .count()
-            })
-            .sum()
-    } else {
-        connected_components(graph)
-            .sizes
-            .iter()
-            .map(|&s| (s as usize) * (s as usize))
-            .sum()
-    }
-}
 
 /// The result of [`treach_probability_correlated`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,7 +102,7 @@ pub fn treach_probability_correlated(
 ) -> CorrelatedTreach {
     assert!(graph.num_edges() > 0, "chains need at least one edge");
     assert!(chains > 0, "at least one chain is required");
-    let target = static_reachable_pairs(graph);
+    let target = StaticReach::new(graph).total(graph);
     let ids: Vec<u64> = (0..chains as u64).collect();
     let init = || {
         (
@@ -195,23 +170,8 @@ pub fn treach_probability_correlated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ephemeral_graph::{generators, GraphBuilder};
+    use ephemeral_graph::generators;
     use ephemeral_temporal::reachability::treach_holds;
-
-    #[test]
-    fn static_pairs_count_components_and_directions() {
-        // Two undirected components of sizes 3 and 2: 9 + 4.
-        let mut b = GraphBuilder::new_undirected(5);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(3, 4);
-        assert_eq!(static_reachable_pairs(&b.build().unwrap()), 13);
-        // Directed path 0→1→2: sources reach 3, 2, 1 vertices.
-        let mut b = GraphBuilder::new_directed(3);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        assert_eq!(static_reachable_pairs(&b.build().unwrap()), 6);
-    }
 
     #[test]
     fn clique_chains_always_hold() {

@@ -159,7 +159,7 @@ fn summarise(results: Vec<(Time, bool)>, n: usize) -> TemporalDiameterEstimate {
 pub struct AdaptiveDiameterEstimate {
     /// Moments of the finite instance diameters.
     pub finite: OnlineStats,
-    /// CI half-width of the finite mean at the config's confidence level.
+    /// 95% CI half-width of the finite mean.
     pub half_width: f64,
     /// Did the run hit the target precision before the cap?
     pub converged: bool,

@@ -11,8 +11,8 @@ pub trait LabelModel {
 
     /// Draw an assignment for `m` edges **into** `out`, reusing its buffers
     /// — the per-trial path of the Monte Carlo estimators (zero-allocation
-    /// once `out`'s capacity is warm, for the single-label models). The
-    /// label stream drawn from `rng` is identical to [`LabelModel::assign`].
+    /// once `out`'s capacity is warm, for the uniform models). The label
+    /// stream drawn from `rng` is identical to [`LabelModel::assign`].
     fn assign_into(&self, m: usize, rng: &mut dyn RandomSource, out: &mut LabelAssignment);
 
     /// Draw a fresh assignment for `m` edges.
@@ -36,8 +36,11 @@ impl LabelModel for UniformSingle {
         self.lifetime
     }
 
+    /// One bulk draw of all `m` labels (edge order), no sort.
     fn assign_into(&self, m: usize, rng: &mut dyn RandomSource, out: &mut LabelAssignment) {
-        let ok = out.refill_single(m, |_| rng.range_u32(1, self.lifetime));
+        let ok = out.refill_edge_major(m, 1, |labels| {
+            rng.fill_range_u32(1, self.lifetime, labels);
+        });
         assert!(ok, "labels are in 1..=lifetime");
     }
 }
@@ -62,10 +65,12 @@ impl LabelModel for UniformMulti {
         self.lifetime
     }
 
+    /// One bulk draw of all `m·r` labels, edge-major — the same stream
+    /// as `r` draws per edge in edge order — then a per-edge sort and
+    /// dedup in place.
     fn assign_into(&self, m: usize, rng: &mut dyn RandomSource, out: &mut LabelAssignment) {
-        let mut buf = Vec::with_capacity(self.r);
-        let ok = out.refill_with(m, &mut buf, |_, b| {
-            b.extend((0..self.r).map(|_| rng.range_u32(1, self.lifetime)));
+        let ok = out.refill_edge_major(m, self.r, |labels| {
+            rng.fill_range_u32(1, self.lifetime, labels);
         });
         assert!(ok, "labels are in 1..=lifetime");
     }
@@ -238,6 +243,48 @@ mod tests {
         let a = model.assign(64, &mut default_rng(9));
         let b = model.assign(64, &mut default_rng(9));
         assert_eq!(a, b);
+    }
+
+    /// The per-label reference the bulk draw must reproduce: `range_u32`
+    /// once per label in edge order, then each edge's set sorted and
+    /// deduplicated.
+    fn per_label_reference(m: usize, r: usize, lifetime: Time, seed: u64) -> LabelAssignment {
+        let mut rng = default_rng(seed);
+        LabelAssignment::from_fn(m, |_| (0..r).map(|_| rng.range_u32(1, lifetime)).collect())
+            .expect("labels are non-zero")
+    }
+
+    #[test]
+    fn bulk_uniform_draws_equal_the_per_label_reference() {
+        let mut scratch = LabelAssignment::default();
+        for m in [0usize, 1, 5, 1000] {
+            for lifetime in [1, 2, 7, 256] {
+                // The single-label model is r = 1's stream.
+                let single = UniformSingle { lifetime };
+                let mut rng = default_rng(m as u64 ^ u64::from(lifetime));
+                single.assign_into(m, &mut rng, &mut scratch);
+                let want = per_label_reference(m, 1, lifetime, m as u64 ^ u64::from(lifetime));
+                assert_eq!(scratch, want, "single m {m} a {lifetime}");
+                for r in [1usize, 2, 3, 4, 8] {
+                    let seed = (m * 31 + r) as u64 ^ (u64::from(lifetime) << 20);
+                    let multi = UniformMulti { lifetime, r };
+                    let mut rng = default_rng(seed);
+                    multi.assign_into(m, &mut rng, &mut scratch);
+                    let want = per_label_reference(m, r, lifetime, seed);
+                    assert_eq!(scratch, want, "multi m {m} r {r} a {lifetime}");
+                    // Both paths leave the generator at the same point.
+                    let mut after = default_rng(seed);
+                    for _ in 0..m * r {
+                        after.range_u32(1, lifetime);
+                    }
+                    assert_eq!(rng.next_u64(), after.next_u64(), "m {m} r {r} a {lifetime}");
+                    if lifetime == 1 {
+                        // Every draw collides: one label per edge.
+                        assert_eq!(scratch.total_labels(), m);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! thread count. The sweep engine in `ephemeral-bench` expands grids of
 //! these cells and streams resumable JSON-lines results.
 
-use crate::correlated::static_reachable_pairs;
 use crate::models::{GeometricArrivals, LabelModel, UniformMulti, UniformSingle, ZipfMulti};
 use crate::urtn::placeholder_network;
 use ephemeral_graph::{generators, EdgeId, Graph};
@@ -23,7 +22,7 @@ use ephemeral_parallel::faults::CancelToken;
 use ephemeral_parallel::par_map_with;
 use ephemeral_rng::{DefaultRng, RandomSource, SeedSequence};
 use ephemeral_temporal::distance::instance_temporal_diameter_scratch_traced;
-use ephemeral_temporal::reachability::treach_holds_scratch_traced;
+use ephemeral_temporal::reachability::{treach_holds_scratch_with, StaticReach};
 use ephemeral_temporal::sparse::EngineChoice;
 use ephemeral_temporal::wide::{EngineKind, SweepScratch};
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time};
@@ -333,7 +332,7 @@ pub struct ScenarioOutcome {
     /// Point estimate: mean finite diameter / success probability / mean
     /// complete-flood time, per the metric.
     pub estimate: f64,
-    /// CI half-width at the adaptive config's confidence level
+    /// 95% CI half-width of the estimate
     /// (`f64::INFINITY` when no trial produced a usable sample).
     pub half_width: f64,
     /// Trials executed.
@@ -372,8 +371,9 @@ pub struct ScenarioOutcome {
 /// place, the spare assignment the draw writes into, and both journey
 /// engines' sweepers (the crossover picks which engine runs). The
 /// diameter metric reuses every buffer like `diameter::td_montecarlo`
-/// (zero warm-trial allocations); `T_reach` reuses the heavy sweep
-/// frontiers but still runs its small static-components pass per trial.
+/// (zero warm-trial allocations). `T_reach` reuses the same buffers and
+/// reads its static counts from the cell's one shared [`StaticReach`],
+/// so a warm batch-regime trial allocates nothing either.
 struct Scratch {
     tn: TemporalNetwork,
     spare: LabelAssignment,
@@ -547,12 +547,15 @@ impl Scenario {
                 finite_mean_outcome(&run)
             }
             Metric::TreachProbability => {
+                // The substrate never changes within the cell: one static
+                // oracle serves every trial on every worker.
+                let oracle = StaticReach::new(&graph);
                 let run: AdaptiveRun<ProportionAccumulator> =
                     run_adaptive(cfg, trial_seed, threads, init, |s, _, rng| {
                         arena.track(s, |s| {
                             s.redraw(model, rng);
                             let (holds, engine) =
-                                treach_holds_scratch_traced(&s.tn, &mut s.sweeper);
+                                treach_holds_scratch_with(&s.tn, &mut s.sweeper, &oracle);
                             serve(engine);
                             holds
                         })
@@ -636,7 +639,7 @@ fn correlated_cell(
             replayed: 0,
         };
     }
-    let target = static_reachable_pairs(graph);
+    let target = StaticReach::new(graph).total(graph);
     let ids: Vec<u64> = (0..chains as u64).collect();
     let init = || {
         let mut s = Scratch::new(graph, lifetime);

@@ -1,16 +1,18 @@
 //! Allocation-count regression test for the Monte Carlo hot loop.
 //!
-//! The per-trial path — draw a UNI-CASE assignment into scratch, swap it
-//! into the network with an in-place bucket rebuild (occupied-times skip
-//! list included), run the batch or wide engine — is designed to allocate
-//! **nothing** once its buffers are warm. A counting global allocator
-//! pins that down; a regression here means a `Vec` started being reborn
-//! per trial somewhere in the loop.
+//! The per-trial path — draw a UNI-CASE assignment into scratch (one bulk
+//! draw, single- or multi-label), swap it into the network with an
+//! in-place bucket rebuild (occupied-times skip list included), run the
+//! batch or wide engine, or check `T_reach` against the substrate's one
+//! shared static oracle — is designed to allocate **nothing** once its
+//! buffers are warm. A counting global allocator pins that down; a
+//! regression here means a `Vec` started being reborn per trial somewhere
+//! in the loop.
 //!
 //! This file deliberately holds a single `#[test]`: the counter is global
 //! to the test binary, so concurrent tests would pollute the count.
 
-use ephemeral_core::models::{LabelModel, UniformSingle};
+use ephemeral_core::models::{LabelModel, UniformMulti, UniformSingle};
 use ephemeral_core::urtn::resample_single_in_place;
 use ephemeral_graph::generators;
 use ephemeral_rng::default_rng;
@@ -102,6 +104,57 @@ fn warm_montecarlo_trials_do_not_allocate() {
     assert_eq!(
         during, 0,
         "assign_into must reuse the scratch assignment's buffers"
+    );
+
+    // The multi-label draw: one bulk fill of all m·r labels, then the
+    // per-edge sort and dedup in place — no per-edge or per-call buffer.
+    let multi = UniformMulti { lifetime, r: 4 };
+    let mut multi_spare = LabelAssignment::default();
+    for _ in 0..3 {
+        multi.assign_into(tn.graph().num_edges(), &mut rng, &mut multi_spare);
+    }
+    let before = allocations();
+    let mut labels = 0usize;
+    for _ in 0..50 {
+        multi.assign_into(tn.graph().num_edges(), &mut rng, &mut multi_spare);
+        labels += multi_spare.total_labels();
+    }
+    let during = allocations() - before;
+    assert!(labels > 0, "keep the loop observable");
+    assert_eq!(
+        during, 0,
+        "warm UniformMulti draws must not allocate (saw {during} allocations in 50 draws)"
+    );
+
+    // A warm `T_reach` trial in the batch regime: redraw, then check
+    // against the substrate's one shared static oracle. The directed
+    // clique always holds, so every source's BFS count is memoised by the
+    // warm-up and the measured trials only sweep.
+    use ephemeral_temporal::reachability::{treach_holds_scratch_with, StaticReach};
+    let oracle = StaticReach::new(tn.graph());
+    let mut trial_scratch = SweepScratch::new();
+    for _ in 0..3 {
+        resample_single_in_place(&mut tn, &mut spare, &mut rng);
+        let (holds, _) = treach_holds_scratch_with(&tn, &mut trial_scratch, &oracle);
+        assert!(holds, "a single-label clique preserves reachability");
+    }
+    let before = allocations();
+    let mut held = 0usize;
+    for _ in 0..20 {
+        resample_single_in_place(&mut tn, &mut spare, &mut rng);
+        let (holds, engine) = treach_holds_scratch_with(&tn, &mut trial_scratch, &oracle);
+        held += usize::from(holds);
+        assert_eq!(
+            engine,
+            EngineKind::Batch,
+            "n = {n} runs in the batch regime"
+        );
+    }
+    let during = allocations() - before;
+    assert_eq!(held, 20, "keep the loop observable");
+    assert_eq!(
+        during, 0,
+        "warm T_reach trials must not allocate (saw {during} allocations in 20 trials)"
     );
 
     // The wide-engine trial path: same draw-and-swap loop, but the sweep
@@ -247,11 +300,12 @@ fn warm_montecarlo_trials_do_not_allocate() {
          (saw {during} allocations across 4 shards)"
     );
 
-    // The traced T_reach check on the same sparse instances (its
-    // static-components pass allocates by design, so no allocation count
-    // here): the attribution must stay on the probe/batch-sized path or
-    // the sparse engine — never the wide engine the old n-only dispatch
-    // would have picked.
+    // The traced T_reach check on the same sparse instances. This
+    // two-argument form builds a fresh static oracle per call, so no
+    // allocation count here (the shared-oracle trial is pinned above):
+    // the attribution must stay on the probe/batch-sized path or the
+    // sparse engine — never the wide engine the old n-only dispatch would
+    // have picked.
     use ephemeral_temporal::reachability::treach_holds_scratch_traced;
     let (_, engine) = treach_holds_scratch_traced(&tn, &mut scratch);
     assert!(
@@ -343,11 +397,12 @@ fn warm_montecarlo_trials_do_not_allocate() {
 
     // The pooled bisection probes: `minimal_r_adaptive` threads one
     // `ProbePool` of warm `QuerySession`s through every candidate `r`,
-    // so only the first probe pays for the session (network copy + sweep
-    // scratch). The `T_reach` check's static-components pass allocates
-    // by design, so the check is comparative rather than zero: probing
-    // five candidates from a warm pool must beat five cold probes by at
-    // least two sessions' worth of allocations (it saves ~five).
+    // so only the first probe pays for the session (network copy, sweep
+    // scratch, static oracle). The adaptive driver itself allocates per
+    // batch (its sample vectors), so the check is comparative rather than
+    // zero: probing five candidates from a warm pool must beat five cold
+    // probes by at least two sessions' worth of allocations (it saves
+    // ~five).
     use ephemeral_core::reachability_whp::{treach_probability_adaptive_pooled, ProbePool};
     use ephemeral_parallel::adaptive::AdaptiveConfig;
     use ephemeral_temporal::session::QuerySession;

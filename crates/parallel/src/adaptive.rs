@@ -18,14 +18,15 @@ use ephemeral_rng::{DefaultRng, SeedSequence};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// Confidence level of every adaptive interval: the stopping rule and the
+/// reported half-widths are 95% intervals.
+const CONFIDENCE: f64 = 0.95;
+
 /// Stopping knobs of an adaptive run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Stop once the CI half-width is at or below this value.
+    /// Stop once the 95% CI half-width is at or below this value.
     pub target_half_width: f64,
-    /// Confidence level of the interval (snapped to the supported table,
-    /// see [`z_for_confidence`](crate::stats::z_for_confidence)).
-    pub confidence: f64,
     /// Never stop (except at the cap) before this many trials.
     pub min_trials: usize,
     /// Hard trial cap; the run reports `converged = false` when it stops
@@ -44,7 +45,6 @@ impl AdaptiveConfig {
     pub const fn new(target_half_width: f64) -> Self {
         Self {
             target_half_width,
-            confidence: 0.95,
             min_trials: 16,
             max_trials: 4096,
             batch: 32,
@@ -88,9 +88,9 @@ pub trait AdaptiveAccumulator: Default {
     /// Number of samples absorbed so far.
     fn trials(&self) -> usize;
 
-    /// Current CI half-width at the given confidence level
+    /// Current 95% CI half-width
     /// (`f64::INFINITY` while the estimate is undefined).
-    fn half_width(&self, confidence: f64) -> f64;
+    fn half_width(&self) -> f64;
 }
 
 /// Accumulates real-valued samples; half-width is the normal interval
@@ -112,8 +112,8 @@ impl AdaptiveAccumulator for MeanAccumulator {
         self.stats.count() as usize
     }
 
-    fn half_width(&self, confidence: f64) -> f64 {
-        self.stats.half_width(confidence)
+    fn half_width(&self) -> f64 {
+        self.stats.half_width(CONFIDENCE)
     }
 }
 
@@ -140,11 +140,11 @@ impl AdaptiveAccumulator for ProportionAccumulator {
         self.count
     }
 
-    fn half_width(&self, confidence: f64) -> f64 {
+    fn half_width(&self) -> f64 {
         if self.count == 0 {
             f64::INFINITY
         } else {
-            wilson_half_width(self.successes, self.count, confidence)
+            wilson_half_width(self.successes, self.count, CONFIDENCE)
         }
     }
 }
@@ -189,8 +189,8 @@ impl AdaptiveAccumulator for FilteredMeanAccumulator {
         self.accepted.count() as usize + self.rejected
     }
 
-    fn half_width(&self, confidence: f64) -> f64 {
-        self.accepted.half_width(confidence)
+    fn half_width(&self) -> f64 {
+        self.accepted.half_width(CONFIDENCE)
     }
 }
 
@@ -261,7 +261,7 @@ impl<S> Drop for PooledState<'_, S> {
     }
 }
 
-/// Run batches of trials until `accumulator.half_width(confidence)` drops
+/// Run batches of trials until `accumulator.half_width()` (95%) drops
 /// to the target or `max_trials` is reached. `init()` builds per-worker
 /// scratch state exactly as in
 /// [`MonteCarlo::run_with`](crate::MonteCarlo::run_with); `sim` receives
@@ -390,7 +390,7 @@ where
             accumulator.push(s?);
         }
         done += batch;
-        let hw = accumulator.half_width(cfg.confidence);
+        let hw = accumulator.half_width();
         if (done >= cfg.min_trials && hw <= cfg.target_half_width) || done >= cfg.max_trials {
             break hw;
         }
@@ -408,7 +408,7 @@ where
 pub struct AdaptiveMean {
     /// Moments of the samples.
     pub stats: OnlineStats,
-    /// Final CI half-width (`mean ± half_width` at the config's level).
+    /// Final 95% CI half-width (`mean ± half_width`).
     pub half_width: f64,
     /// Trials executed.
     pub trials: usize,
@@ -451,8 +451,8 @@ where
 pub struct AdaptiveProportion {
     /// The estimate with its 95% Wilson interval.
     pub proportion: Proportion,
-    /// Final Wilson half-width at the **config's** confidence level (which
-    /// may differ from the fixed 95% interval inside [`Proportion`]).
+    /// Final 95% Wilson half-width — the one the stopping rule read, at
+    /// the adaptive batch boundary where the run stopped.
     pub half_width: f64,
     /// Did the run hit the target precision?
     pub converged: bool,

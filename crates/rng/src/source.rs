@@ -66,6 +66,21 @@ pub trait RandomSource {
         self.range_u64(u64::from(lo), u64::from(hi)) as u32
     }
 
+    /// Fill `out` with `range_u32(lo, hi)` draws, in order — the bulk
+    /// form of [`range_u32`](RandomSource::range_u32). It consumes exactly
+    /// the words the per-element loop would, so the two are
+    /// interchangeable; through `&mut dyn RandomSource` it costs one
+    /// virtual call per slice instead of one per element. Requires
+    /// `lo <= hi`.
+    #[inline]
+    fn fill_range_u32(&mut self, lo: u32, hi: u32, out: &mut [u32]) {
+        assert!(lo <= hi, "fill_range_u32 requires lo <= hi");
+        let bound = u64::from(hi - lo) + 1;
+        for x in out {
+            *x = lo + self.bounded_u64(bound) as u32;
+        }
+    }
+
     /// Uniform in `[0, len)` as `usize` — the index helper. `len > 0`.
     #[inline]
     fn index(&mut self, len: usize) -> usize {
@@ -109,6 +124,11 @@ impl<T: RandomSource + ?Sized> RandomSource for &mut T {
     #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+
+    #[inline]
+    fn fill_range_u32(&mut self, lo: u32, hi: u32, out: &mut [u32]) {
+        (**self).fill_range_u32(lo, hi, out);
     }
 }
 
@@ -185,6 +205,41 @@ mod tests {
         let mut g = Xoshiro256PlusPlus::seed_from_u64(3);
         for _ in 0..10_000 {
             assert!(g.unit_f64_open() > 0.0);
+        }
+    }
+
+    #[test]
+    fn fill_range_matches_repeated_range_draws() {
+        for (lo, hi) in [(1, 1), (1, 2), (1, 7), (3, 256), (0, u32::MAX)] {
+            for len in [0usize, 1, 5, 1000] {
+                let mut reference = Xoshiro256PlusPlus::seed_from_u64(u64::from(hi) ^ len as u64);
+                let want: Vec<u32> = (0..len).map(|_| reference.range_u32(lo, hi)).collect();
+                let tail = reference.next_u64();
+
+                // Through `&mut dyn RandomSource`: the concrete provided
+                // method behind one virtual call.
+                let mut g = Xoshiro256PlusPlus::seed_from_u64(u64::from(hi) ^ len as u64);
+                let mut got = vec![0; len];
+                {
+                    let dynamic: &mut dyn RandomSource = &mut g;
+                    dynamic.fill_range_u32(lo, hi, &mut got);
+                }
+                assert_eq!(got, want, "dyn, range {lo}..={hi}, len {len}");
+                assert_eq!(g.next_u64(), tail, "dyn draws consume the same words");
+
+                // Through the `&mut T` blanket impl.
+                let mut g = Xoshiro256PlusPlus::seed_from_u64(u64::from(hi) ^ len as u64);
+                let mut got = vec![0; len];
+                let mut borrowed = &mut g;
+                <&mut Xoshiro256PlusPlus as RandomSource>::fill_range_u32(
+                    &mut borrowed,
+                    lo,
+                    hi,
+                    &mut got,
+                );
+                assert_eq!(got, want, "&mut T, range {lo}..={hi}, len {len}");
+                assert_eq!(g.next_u64(), tail, "&mut T draws consume the same words");
+            }
         }
     }
 

@@ -150,13 +150,16 @@ impl LoadSpec {
                 let p = (avg_degree / *nodes as f64).clamp(0.0, 1.0);
                 let graph =
                     generators::gnp(*nodes, p, *directed, &mut SeedSequence::new(*seed).rng(1));
+                // One bulk draw of every label, edge-major: the stream of
+                // `labels_per_edge` draws per edge in edge order.
                 let mut rng = SeedSequence::new(*label_seed).rng(2);
-                let r = *labels_per_edge;
                 let a = *lifetime;
-                let assignment = LabelAssignment::from_fn(graph.num_edges(), |_| {
-                    (0..r).map(|_| rng.range_u32(1, a)).collect()
-                })
-                .ok_or("labels_per_edge must be positive")?;
+                let mut assignment = LabelAssignment::default();
+                let drawn =
+                    assignment.refill_edge_major(graph.num_edges(), *labels_per_edge, |labels| {
+                        rng.fill_range_u32(1, a, labels);
+                    });
+                debug_assert!(drawn, "labels are in 1..=lifetime");
                 TemporalNetwork::new(graph, assignment, a).map_err(|e| e.to_string())
             }
         }
@@ -515,6 +518,40 @@ mod tests {
         let again = spec.build().unwrap();
         assert_eq!(tn.graph().num_edges(), again.graph().num_edges());
         assert_eq!(tn.labels(0), again.labels(0));
+    }
+
+    #[test]
+    fn gnp_bulk_draw_equals_the_per_edge_construction() {
+        // The per-edge `from_fn` build the bulk draw replaced: `r` draws
+        // per edge in edge order, each edge's set sorted and deduplicated.
+        for (nodes, directed, lifetime, r) in [
+            (1usize, false, 5u32, 1usize),
+            (64, false, 256, 2),
+            (40, true, 3, 4),
+            (50, false, 1, 3),
+            (30, true, 17, 8),
+        ] {
+            let (seed, label_seed) = (nodes as u64, 11);
+            let spec = LoadSpec::Gnp {
+                nodes,
+                avg_degree: 5.0,
+                directed,
+                lifetime,
+                labels_per_edge: r,
+                seed,
+                label_seed,
+            };
+            let built = spec.build().unwrap();
+            let p = (5.0 / nodes as f64).clamp(0.0, 1.0);
+            let graph = generators::gnp(nodes, p, directed, &mut SeedSequence::new(seed).rng(1));
+            let mut rng = SeedSequence::new(label_seed).rng(2);
+            let want = LabelAssignment::from_fn(graph.num_edges(), |_| {
+                (0..r).map(|_| rng.range_u32(1, lifetime)).collect()
+            })
+            .unwrap();
+            assert_eq!(built.assignment(), &want, "n {nodes} r {r} a {lifetime}");
+            assert_eq!(built.graph().num_edges(), graph.num_edges());
+        }
     }
 
     #[test]

@@ -63,35 +63,74 @@ impl LabelAssignment {
         Self::from_vecs((0..m as u32).map(&mut f).collect())
     }
 
-    /// Rebuild in place with exactly one label per edge, reusing this
-    /// assignment's buffers — the zero-allocation (once warm) per-trial
-    /// path of the UNI-CASE Monte Carlo estimators. Returns `false` (and
-    /// leaves the assignment empty) if `f` produces a zero label.
-    pub fn refill_single(&mut self, m: usize, mut f: impl FnMut(u32) -> Time) -> bool {
+    /// Rebuild in place from `r` draws per edge that the caller writes in
+    /// one go: `fill` receives the label buffer sized to `m·r` and writes
+    /// it edge-major (edge 0's `r` draws, then edge 1's, …). Each edge's
+    /// draws are then sorted and deduplicated in place — a
+    /// compare-exchange network for `r ≤ 4` — and the offsets written, so
+    /// the result equals [`LabelAssignment::from_vecs`] over the same
+    /// per-edge draws. At `r = 1` nothing is sorted and the offsets are
+    /// `0..=m`. This is the bulk per-trial path of the uniform label
+    /// models: one call fills every label (see
+    /// `RandomSource::fill_range_u32`) and, once warm, nothing is
+    /// allocated. Returns `false` (and leaves the assignment empty) if any
+    /// label is zero.
+    ///
+    /// # Panics
+    /// If `m·r` overflows `usize`.
+    pub fn refill_edge_major(
+        &mut self,
+        m: usize,
+        r: usize,
+        fill: impl FnOnce(&mut [Time]),
+    ) -> bool {
+        let total = m.checked_mul(r).expect("m·r labels overflow usize");
         self.offsets.clear();
         self.labels.clear();
+        self.labels.resize(total, 0);
+        fill(&mut self.labels);
         self.offsets.reserve(m + 1);
-        self.labels.reserve(m);
         self.offsets.push(0);
-        for e in 0..m as u32 {
-            let t = f(e);
-            if t == 0 {
+        if r == 1 {
+            if self.labels.contains(&0) {
+                self.labels.clear();
+                return false;
+            }
+            self.offsets.extend(1..=m as u32);
+            return true;
+        }
+        let mut len = 0;
+        for start in (0..total).step_by(r.max(1)) {
+            let edge = &mut self.labels[start..start + r];
+            sort_small(edge);
+            if edge[0] == 0 {
                 self.offsets.truncate(1);
                 self.labels.clear();
                 return false;
             }
-            self.labels.push(t);
-            self.offsets.push(e + 1);
+            // Compact the sorted run down to `len`: the write index never
+            // passes the read index, and 0 (never a label) seeds `prev`.
+            let mut prev = 0;
+            for i in start..start + r {
+                let t = self.labels[i];
+                self.labels[len] = t;
+                len += usize::from(t != prev);
+                prev = t;
+            }
+            self.offsets.push(len as u32);
         }
+        // `r = 0`: every edge is unlabelled.
+        self.offsets.resize(m + 1, 0);
+        self.labels.truncate(len);
         true
     }
 
     /// Rebuild in place with arbitrary per-edge sets: `f(e, buf)` fills the
     /// (cleared) scratch `buf` with edge `e`'s labels, which are then
-    /// sorted, deduplicated and appended — the multi-label analogue of
-    /// [`LabelAssignment::refill_single`], sharing one scratch vector
-    /// across all edges. Returns `false` (and leaves the assignment empty)
-    /// if any label is zero.
+    /// sorted, deduplicated and appended, sharing one scratch vector
+    /// across all edges — the in-place path of the non-uniform label
+    /// models (Zipf, geometric gaps). Returns `false` (and leaves the
+    /// assignment empty) if any label is zero.
     pub fn refill_with(
         &mut self,
         m: usize,
@@ -195,6 +234,42 @@ impl LabelAssignment {
     pub fn iter(&self) -> impl Iterator<Item = (u32, Time)> + '_ {
         (0..self.num_edges() as u32).flat_map(move |e| self.labels(e).iter().map(move |&l| (e, l)))
     }
+
+    /// The raw CSR arrays: per-edge offsets (`num_edges() + 1` entries,
+    /// none for a default scratch) and the flat label array.
+    pub(crate) fn csr(&self) -> (&[u32], &[Time]) {
+        (&self.offsets, &self.labels)
+    }
+}
+
+/// Sort one edge's draws in place: branch-free compare-exchange networks
+/// for up to four labels (the uniform models' usual `r`), the standard
+/// unstable sort beyond.
+#[inline]
+fn sort_small(s: &mut [Time]) {
+    #[inline(always)]
+    fn cx(s: &mut [Time], i: usize, j: usize) {
+        let (a, b) = (s[i], s[j]);
+        s[i] = a.min(b);
+        s[j] = a.max(b);
+    }
+    match s.len() {
+        0 | 1 => {}
+        2 => cx(s, 0, 1),
+        3 => {
+            cx(s, 0, 1);
+            cx(s, 1, 2);
+            cx(s, 0, 1);
+        }
+        4 => {
+            cx(s, 0, 1);
+            cx(s, 2, 3);
+            cx(s, 0, 2);
+            cx(s, 1, 3);
+            cx(s, 1, 2);
+        }
+        _ => s.sort_unstable(),
+    }
 }
 
 #[cfg(test)]
@@ -243,18 +318,40 @@ mod tests {
     }
 
     #[test]
-    fn refill_single_matches_fresh_construction() {
+    fn refill_edge_major_sorts_and_dedups_like_from_vecs() {
+        // Every r the sorting networks cover, and one beyond; the draws
+        // include duplicates and descending runs.
+        let draws: Vec<Time> = (0..60u32).map(|i| 1 + (i * 7 + i / 3) % 5).collect();
         let mut a = LabelAssignment::default();
-        assert_eq!(a.num_edges(), 0);
-        assert!(a.refill_single(4, |e| e + 1));
-        assert_eq!(a, LabelAssignment::single(vec![1, 2, 3, 4]).unwrap());
-        // Shrinking reuse keeps the CSR consistent.
-        assert!(a.refill_single(2, |_| 9));
-        assert_eq!(a, LabelAssignment::single(vec![9, 9]).unwrap());
-        // A zero label empties the assignment and reports failure.
-        assert!(!a.refill_single(3, |e| e));
-        assert_eq!(a.num_edges(), 0);
-        assert_eq!(a.total_labels(), 0);
+        for r in 0..=6usize {
+            for m in [0usize, 1, 4, 10] {
+                let want = LabelAssignment::from_vecs(
+                    (0..m).map(|e| draws[e * r..(e + 1) * r].to_vec()).collect(),
+                )
+                .unwrap();
+                assert!(a.refill_edge_major(m, r, |buf| {
+                    assert_eq!(buf.len(), m * r);
+                    buf.copy_from_slice(&draws[..m * r]);
+                }));
+                assert_eq!(a, want, "m {m} r {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn refill_edge_major_rejects_zero_labels() {
+        let mut a = LabelAssignment::default();
+        for r in [1usize, 2, 3, 4, 5] {
+            assert!(!a.refill_edge_major(3, r, |buf| {
+                buf.fill(2);
+                buf[buf.len() - 1] = 0;
+            }));
+            assert_eq!(a.num_edges(), 0, "r {r}");
+            assert_eq!(a.total_labels(), 0, "r {r}");
+            // The emptied scratch refills normally.
+            assert!(a.refill_edge_major(2, r, |buf| buf.fill(3)));
+            assert_eq!(a.labels(1), &[3]);
+        }
     }
 
     #[test]

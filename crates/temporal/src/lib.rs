@@ -82,11 +82,15 @@
 //!   the `T_reach` probes and batched closure fallbacks share its
 //!   lane-pass core, so point and all-pairs code answer from one
 //!   semantics contract (`tests/session_proptests.rs`).
-//! * In-place reuse: [`LabelAssignment::refill_single`] /
+//! * In-place reuse: [`LabelAssignment::refill_edge_major`] (one bulk
+//!   write of every draw, then a per-edge sort and dedup) /
 //!   [`LabelAssignment::refill_with`] redraw labels into existing buffers
 //!   and [`TemporalNetwork::replace_assignment`] rebuilds the time-edge
 //!   index without reallocating — the zero-allocation per-trial path of the
-//!   Monte Carlo estimators in `ephemeral-core`.
+//!   Monte Carlo estimators in `ephemeral-core`. The static side of
+//!   `T_reach` never changes with the labels:
+//!   [`reachability::StaticReach`] is built once per substrate and shared
+//!   across trials.
 //! * [`kernels`]: the single explicit word-kernel layer all three sweep
 //!   engines route their inner loops through — unrolled-chunk OR/ANDN
 //!   accumulate/commit, popcounts, branch-light (and galloping)

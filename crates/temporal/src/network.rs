@@ -130,8 +130,8 @@ impl TemporalNetwork {
     /// Monte Carlo estimators. Validates the incoming assignment, rebuilds
     /// the bucket index **reusing its existing allocations**, and returns
     /// the previous assignment so its buffers can serve as the next draw's
-    /// scratch (see `LabelAssignment::refill_single`). On error the network
-    /// is unchanged and the incoming assignment is dropped.
+    /// scratch (see [`LabelAssignment::refill_edge_major`]). On error the
+    /// network is unchanged and the incoming assignment is dropped.
     ///
     /// # Errors
     /// See [`TemporalError`] (the lifetime stays as constructed).
@@ -146,10 +146,12 @@ impl TemporalNetwork {
     }
 
     /// Counting sort of (label, edge) pairs into the bucket index, reusing
-    /// the index vectors' capacity (no allocation once warm). Also rebuilds
-    /// the occupied-times skip list: `occupied` can never exceed
-    /// `min(lifetime, total_labels)` entries, so one up-front reserve makes
-    /// every later rebuild allocation-free.
+    /// the index vectors' capacity (no allocation once warm). Both passes
+    /// walk the assignment's CSR arrays directly: the count over the flat
+    /// label array, the placement edge by edge over its offset windows.
+    /// Also rebuilds the occupied-times skip list: `occupied` can never
+    /// exceed `min(lifetime, total_labels)` entries, so one up-front
+    /// reserve makes every later rebuild allocation-free.
     fn rebuild_buckets(&mut self) {
         let Self {
             assignment,
@@ -159,10 +161,11 @@ impl TemporalNetwork {
             occupied,
             ..
         } = self;
-        let total = assignment.total_labels();
+        let (offsets, labels) = assignment.csr();
+        let total = labels.len();
         bucket_offsets.clear();
         bucket_offsets.resize(*lifetime as usize + 2, 0);
-        for (_, l) in assignment.iter() {
+        for &l in labels {
             bucket_offsets[l as usize + 1] += 1;
         }
         for i in 1..bucket_offsets.len() {
@@ -173,10 +176,12 @@ impl TemporalNetwork {
         // Place each edge at its bucket's cursor, advancing the cursor in
         // the offsets array itself; every offset then holds its successor's
         // start, so a shift-right restores the index without a scratch copy.
-        for (e, l) in assignment.iter() {
-            let slot = bucket_offsets[l as usize] as usize;
-            bucket_edges[slot] = e;
-            bucket_offsets[l as usize] += 1;
+        for (e, window) in offsets.windows(2).enumerate() {
+            for &l in &labels[window[0] as usize..window[1] as usize] {
+                let slot = bucket_offsets[l as usize] as usize;
+                bucket_edges[slot] = e as u32;
+                bucket_offsets[l as usize] += 1;
+            }
         }
         let len = bucket_offsets.len();
         bucket_offsets.copy_within(0..len - 1, 1);
@@ -359,11 +364,14 @@ fn validate(
             assignment_edges: assignment.num_edges(),
         });
     }
-    for e in 0..assignment.num_edges() as u32 {
-        if let Some(&label) = assignment.labels(e).last() {
+    // Each edge's labels are sorted, so its last label is its largest.
+    let (offsets, labels) = assignment.csr();
+    for (e, window) in offsets.windows(2).enumerate() {
+        if window[1] > window[0] {
+            let label = labels[window[1] as usize - 1];
             if label > lifetime {
                 return Err(TemporalError::LabelBeyondLifetime {
-                    edge: e,
+                    edge: e as EdgeId,
                     label,
                     lifetime,
                 });
@@ -515,6 +523,60 @@ mod tests {
             tn.replace_assignment(short).unwrap_err(),
             TemporalError::EdgeCountMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn replaced_index_equals_a_fresh_construction() {
+        use ephemeral_rng::{RandomSource, SeedSequence};
+        let mut rng = SeedSequence::new(5).rng(0);
+        let g = generators::gnp(40, 0.15, false, &mut rng);
+        let m = g.num_edges();
+        let lifetime = 23;
+        let mut tn = TemporalNetwork::new(
+            g.clone(),
+            LabelAssignment::from_vecs(vec![vec![1]; m]).unwrap(),
+            lifetime,
+        )
+        .unwrap();
+        let mut spare = LabelAssignment::default();
+        for r in [1usize, 4, 0, 2, 1, 7] {
+            assert!(spare.refill_edge_major(m, r, |labels| {
+                rng.fill_range_u32(1, lifetime, labels);
+            }));
+            spare = tn.replace_assignment(std::mem::take(&mut spare)).unwrap();
+            let fresh = TemporalNetwork::new(g.clone(), tn.assignment().clone(), lifetime).unwrap();
+            for t in 0..=lifetime + 1 {
+                let mut got = tn.edges_at(t).to_vec();
+                let mut want = fresh.edges_at(t).to_vec();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "r {r} bucket {t}");
+            }
+            assert_eq!(tn.occupied_times(), fresh.occupied_times(), "r {r}");
+        }
+    }
+
+    #[test]
+    fn over_lifetime_label_names_the_first_offending_edge() {
+        let mut tn = TemporalNetwork::new(
+            generators::path(6),
+            LabelAssignment::from_vecs(vec![vec![1]; 5]).unwrap(),
+            4,
+        )
+        .unwrap();
+        // Edges 2 and 4 both exceed the lifetime; edge 1 is unlabelled.
+        let bad =
+            LabelAssignment::from_vecs(vec![vec![1, 4], vec![], vec![2, 9], vec![3], vec![7]])
+                .unwrap();
+        assert_eq!(
+            tn.replace_assignment(bad).unwrap_err(),
+            TemporalError::LabelBeyondLifetime {
+                edge: 2,
+                label: 9,
+                lifetime: 4
+            }
+        );
+        assert_eq!(tn.occupied_times(), &[1], "network unchanged");
     }
 
     #[test]

@@ -23,10 +23,10 @@ use crate::session::{block_all_reached, reach_counts};
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{probe_blocks, EngineKind, FrontierEngine, SweepScratch};
 use crate::{Time, NEVER};
-use ephemeral_graph::algo::{bfs_distances, connected_components, UNREACHABLE};
-use ephemeral_graph::NodeId;
+use ephemeral_graph::algo::{bfs_distances, connected_components, Components, UNREACHABLE};
+use ephemeral_graph::{Graph, NodeId};
 use ephemeral_parallel::{par_for_with, par_map_with};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Which vertices admit a journey from `source` (the source included).
 #[must_use]
@@ -123,41 +123,104 @@ fn wide_reach_counts<S: FrontierEngine>(
     counts
 }
 
-/// The static-reachability oracle `T_reach` compares against: component
-/// sizes from a single union–find pass when the graph is undirected
-/// (`O(M)` total — component size = reach count), one BFS per queried
-/// source for directed graphs.
-fn static_reach_oracle(tn: &TemporalNetwork) -> impl Fn(NodeId) -> usize + Sync + '_ {
-    let components = (!tn.graph().is_directed()).then(|| connected_components(tn.graph()));
-    move |s: NodeId| match &components {
-        Some(c) => c.sizes[c.labels[s as usize] as usize] as usize,
-        None => bfs_distances(tn.graph(), s)
-            .iter()
-            .filter(|&&d| d != UNREACHABLE)
-            .count(),
-    }
+/// The static side of `T_reach` (Definition 6) for one substrate graph:
+/// how many vertices each source reaches by a path, itself included.
+///
+/// Labels never change the graph, so a Monte Carlo cell, a query session
+/// or a Gibbs chain builds one oracle per substrate and shares it across
+/// every trial and worker. Undirected graphs answer from one union–find
+/// pass (component size = reach count). Directed graphs run one BFS per
+/// source the first time that source is asked for, and keep its count in
+/// an atomic slot (0 = not yet searched; a count is never 0, since a
+/// source reaches itself). A call therefore never runs more BFS than the
+/// per-call oracle it replaces, and the oracle stays `Sync` for the
+/// parallel checks.
+///
+/// Every method takes the graph the oracle was built from; passing
+/// another graph is a logic error.
+#[derive(Debug)]
+pub struct StaticReach {
+    components: Option<Components>,
+    searched: Box<[AtomicU32]>,
 }
 
-/// Do the temporal reach counts of lanes `base..base + counts.len()`
-/// match the static oracle?
-fn lanes_match(
-    static_reach: &(impl Fn(NodeId) -> usize + Sync),
-    base: NodeId,
-    counts: &[usize],
-) -> bool {
-    counts.iter().enumerate().all(|(lane, &count)| {
-        let expected = static_reach(base + lane as NodeId);
-        debug_assert!(count <= expected, "journeys are paths");
-        count == expected
-    })
+impl StaticReach {
+    /// The oracle of `graph`: components now when undirected, nothing yet
+    /// when directed.
+    #[must_use]
+    pub fn new(graph: &Graph) -> Self {
+        if graph.is_directed() {
+            Self {
+                components: None,
+                searched: (0..graph.num_nodes()).map(|_| AtomicU32::new(0)).collect(),
+            }
+        } else {
+            Self {
+                components: Some(connected_components(graph)),
+                searched: Box::default(),
+            }
+        }
+    }
+
+    /// Vertices `s` reaches by a static path in `graph`, `s` included.
+    ///
+    /// # Panics
+    /// If `s` is out of range.
+    #[must_use]
+    pub fn reach(&self, graph: &Graph, s: NodeId) -> usize {
+        if let Some(c) = &self.components {
+            return c.sizes[c.labels[s as usize] as usize] as usize;
+        }
+        debug_assert_eq!(self.searched.len(), graph.num_nodes(), "oracle's own graph");
+        // Relaxed suffices: a slot publishes only its own count, and two
+        // workers racing on one source store the same value.
+        let slot = &self.searched[s as usize];
+        match slot.load(Ordering::Relaxed) {
+            0 => {
+                let count = bfs_distances(graph, s)
+                    .iter()
+                    .filter(|&&d| d != UNREACHABLE)
+                    .count();
+                slot.store(count as u32, Ordering::Relaxed);
+                count
+            }
+            count => count as usize,
+        }
+    }
+
+    /// Ordered statically reachable pairs of `graph`, each vertex
+    /// reaching itself included — the `reached_bits` total a temporal
+    /// closure attains exactly when the assignment satisfies `T_reach`.
+    /// Undirected graphs sum squared component sizes; directed graphs
+    /// search every source not yet searched.
+    #[must_use]
+    pub fn total(&self, graph: &Graph) -> usize {
+        match &self.components {
+            Some(c) => c.sizes.iter().map(|&s| (s as usize) * (s as usize)).sum(),
+            None => (0..graph.num_nodes() as NodeId)
+                .map(|s| self.reach(graph, s))
+                .sum(),
+        }
+    }
+
+    /// Do the temporal reach counts of lanes `base..base + counts.len()`
+    /// match the static ones?
+    fn lanes_match(&self, graph: &Graph, base: NodeId, counts: &[usize]) -> bool {
+        counts.iter().enumerate().all(|(lane, &count)| {
+            let expected = self.reach(graph, base + lane as NodeId);
+            debug_assert!(count <= expected, "journeys are paths");
+            count == expected
+        })
+    }
 }
 
 /// Does the assignment preserve reachability (`T_reach`, Definition 6)?
 ///
 /// Per source `s`, the set of temporally reachable vertices must equal the
 /// set of statically reachable vertices; since journeys are paths, equality
-/// of counts suffices (static counts from one union–find components pass
-/// when undirected, per-source BFS when directed).
+/// of counts suffices. The static counts come from a [`StaticReach`] built
+/// for this call; callers that check many assignments of one graph share
+/// one through [`treach_holds_scratch_with`] instead.
 /// Temporal counts dispatch through the density-aware [`EngineChoice`]:
 /// engine batches of 64 sources with early exit below the crossover;
 /// above it, a 64-lane probe block first (a violating instance almost
@@ -170,23 +233,23 @@ pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
     if n <= 1 {
         return true;
     }
-    let static_reach = static_reach_oracle(tn);
-    struct Treach<'a, F> {
+    let oracle = StaticReach::new(tn.graph());
+    struct Treach<'a> {
         tn: &'a TemporalNetwork,
         threads: usize,
-        static_reach: &'a F,
+        oracle: &'a StaticReach,
     }
-    impl<F: Fn(NodeId) -> usize + Sync> FrontierRun for Treach<'_, F> {
+    impl FrontierRun for Treach<'_> {
         type Out = bool;
         fn run<S: FrontierEngine>(self, shards: usize) -> bool {
             let (probe, rest) = probe_blocks(self.tn.num_nodes(), shards);
-            frontier_treach::<S>(self.tn, self.threads, self.static_reach, probe, &rest)
+            frontier_treach::<S>(self.tn, self.threads, self.oracle, probe, &rest)
         }
     }
     let run = Treach {
         tn,
         threads,
-        static_reach: &static_reach,
+        oracle: &oracle,
     };
     if let Some(holds) = EngineChoice::dispatch(tn, threads, run) {
         return holds;
@@ -199,7 +262,7 @@ pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
         let batch = batch_range(n, b);
         let (base, width) = (batch.start, batch.len());
         let temporal = reach_counts(tn, sweeper, batch);
-        if !lanes_match(&static_reach, base, &temporal[..width]) {
+        if !oracle.lanes_match(tn.graph(), base, &temporal[..width]) {
             failed.store(true, Ordering::Relaxed);
         }
     });
@@ -213,13 +276,13 @@ pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
 fn frontier_treach<S: FrontierEngine>(
     tn: &TemporalNetwork,
     threads: usize,
-    static_reach: &(impl Fn(NodeId) -> usize + Sync),
+    oracle: &StaticReach,
     probe: std::ops::Range<NodeId>,
     rest: &[std::ops::Range<NodeId>],
 ) -> bool {
     let (base, width) = (probe.start, probe.len());
     let counts = reach_counts(tn, &mut BatchSweeper::new(), probe);
-    if !lanes_match(static_reach, base, &counts[..width]) {
+    if !oracle.lanes_match(tn.graph(), base, &counts[..width]) {
         return false;
     }
     let failed = AtomicBool::new(false);
@@ -228,68 +291,83 @@ fn frontier_treach<S: FrontierEngine>(
             return;
         }
         let counts = wide_reach_counts(tn, sweeper, block.clone());
-        if !lanes_match(static_reach, block.start, &counts) {
+        if !oracle.lanes_match(tn.graph(), block.start, &counts) {
             failed.store(true, Ordering::Relaxed);
         }
     });
     !failed.load(Ordering::Relaxed)
 }
 
-/// Sequential [`treach_holds`] reusing a caller-owned [`SweepScratch`] —
-/// the per-trial path of the Monte Carlo estimators, which would
-/// otherwise rebuild a full-width engine's `n × ⌈n/64⌉` frontier matrices
-/// on every trial above the crossover (the static-reach side still runs
-/// its components pass per call; it is the heavy sweep buffers that are
-/// reused). Same dispatch and early exits as `treach_holds(tn, 1)`, same
-/// answer.
+/// Sequential [`treach_holds`] reusing a caller-owned [`SweepScratch`],
+/// which would otherwise rebuild a full-width engine's `n × ⌈n/64⌉`
+/// frontier matrices on every call above the crossover. The static counts
+/// come from a [`StaticReach`] built for this call; the Monte Carlo
+/// estimators, which check many assignments of one graph, share one
+/// oracle per substrate through [`treach_holds_scratch_with`] instead.
+/// Same dispatch and early exits as `treach_holds(tn, 1)`, same answer.
 #[must_use]
 pub fn treach_holds_scratch(tn: &TemporalNetwork, scratch: &mut SweepScratch) -> bool {
     treach_holds_scratch_traced(tn, scratch).0
 }
 
 /// [`treach_holds_scratch`] that also reports the engine that **actually
-/// answered** — the attribution `experiments sweep` rows carry. Above the
-/// batch crossover the check probes the first 64-lane column block
-/// before committing to a full-width sweep; when that probe alone decides
-/// the answer (the overwhelmingly common case on failing instances), the
-/// work done was one single-word sweep — exactly a batched pass — and the
-/// attribution is [`EngineKind::Batch`], not the engine the density
-/// dispatch *would* have used for the remaining blocks. Only runs that
-/// sweep a full-width block report [`EngineKind::Wide`] /
-/// [`EngineKind::Sparse`].
+/// answered** — see [`treach_holds_scratch_with`], which this calls with a
+/// [`StaticReach`] built for this call.
 #[must_use]
 pub fn treach_holds_scratch_traced(
     tn: &TemporalNetwork,
     scratch: &mut SweepScratch,
 ) -> (bool, EngineKind) {
+    treach_holds_scratch_with(tn, scratch, &StaticReach::new(tn.graph()))
+}
+
+/// Sequential `T_reach` against a caller-owned static oracle — the
+/// per-trial path of the Monte Carlo estimators: `oracle` is built once
+/// per substrate (`oracle` must be [`StaticReach::new`] of `tn`'s graph)
+/// and shared by every trial and worker, and `scratch` keeps the sweep
+/// buffers warm, so a warm trial allocates nothing. Also reports the
+/// engine that **actually answered** — the attribution `experiments
+/// sweep` rows carry. Above the batch crossover the check probes the
+/// first 64-lane column block before committing to a full-width sweep;
+/// when that probe alone decides the answer (the overwhelmingly common
+/// case on failing instances), the work done was one single-word sweep —
+/// exactly a batched pass — and the attribution is [`EngineKind::Batch`],
+/// not the engine the density dispatch *would* have used for the
+/// remaining blocks. Only runs that sweep a full-width block report
+/// [`EngineKind::Wide`] / [`EngineKind::Sparse`].
+#[must_use]
+pub fn treach_holds_scratch_with(
+    tn: &TemporalNetwork,
+    scratch: &mut SweepScratch,
+    oracle: &StaticReach,
+) -> (bool, EngineKind) {
     let n = tn.num_nodes();
     if n <= 1 {
         return (true, EngineKind::Batch);
     }
-    let static_reach = static_reach_oracle(tn);
-    struct TreachScratch<'a, F> {
+    struct TreachScratch<'a> {
         tn: &'a TemporalNetwork,
         scratch: &'a mut SweepScratch,
-        static_reach: &'a F,
+        oracle: &'a StaticReach,
     }
-    impl<F: Fn(NodeId) -> usize + Sync> FrontierRun for TreachScratch<'_, F> {
+    impl FrontierRun for TreachScratch<'_> {
         type Out = (bool, EngineKind);
         fn run<S: FrontierEngine>(self, shards: usize) -> Self::Out {
             let (probe, rest) = probe_blocks(self.tn.num_nodes(), shards);
-            frontier_treach_scratch::<S>(self.tn, self.scratch, self.static_reach, probe, rest)
+            frontier_treach_scratch::<S>(self.tn, self.scratch, self.oracle, probe, rest)
         }
     }
     let run = TreachScratch {
         tn,
         scratch: &mut *scratch,
-        static_reach: &static_reach,
+        oracle,
     };
     EngineChoice::dispatch(tn, 1, run).unwrap_or_else(|| {
         for b in 0..batch_count(n) {
             let batch = batch_range(n, b);
             let (base, width) = (batch.start, batch.len());
             let temporal = reach_counts(tn, &mut scratch.batch, batch);
-            if !lanes_match(&static_reach, base, &temporal[..width]) {
+            if !oracle.lanes_match(tn.graph(), base, &temporal[..width]) {
                 return (false, EngineKind::Batch);
             }
         }
@@ -306,20 +384,20 @@ pub fn treach_holds_scratch_traced(
 fn frontier_treach_scratch<S: FrontierEngine>(
     tn: &TemporalNetwork,
     scratch: &mut SweepScratch,
-    static_reach: &(impl Fn(NodeId) -> usize + Sync),
+    oracle: &StaticReach,
     probe: std::ops::Range<NodeId>,
     rest: Vec<std::ops::Range<NodeId>>,
 ) -> (bool, EngineKind) {
     let (base, width) = (probe.start, probe.len());
     let counts = reach_counts(tn, &mut scratch.batch, probe);
-    if !lanes_match(static_reach, base, &counts[..width]) {
+    if !oracle.lanes_match(tn.graph(), base, &counts[..width]) {
         return (false, EngineKind::Batch);
     }
     let sweeper = S::from_scratch(scratch);
     for block in rest {
         let base = block.start;
         let counts = wide_reach_counts(tn, sweeper, block);
-        if !lanes_match(static_reach, base, &counts) {
+        if !oracle.lanes_match(tn.graph(), base, &counts) {
             return (false, S::kind());
         }
     }
@@ -485,6 +563,28 @@ mod tests {
                 "seed {seed} n {n} r {r}"
             );
         }
+    }
+
+    #[test]
+    fn static_pairs_count_components_and_directions() {
+        // Two undirected components of sizes 3 and 2: 9 + 4.
+        let mut b = GraphBuilder::new_undirected(5);
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        b.add_edge(3, 4);
+        let g = b.build().unwrap();
+        let oracle = StaticReach::new(&g);
+        assert_eq!(oracle.total(&g), 13);
+        assert_eq!((oracle.reach(&g, 0), oracle.reach(&g, 4)), (3, 2));
+        // Directed path 0→1→2: sources reach 3, 2, 1 vertices.
+        let mut b = GraphBuilder::new_directed(3);
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        let g = b.build().unwrap();
+        let oracle = StaticReach::new(&g);
+        assert_eq!(oracle.reach(&g, 1), 2, "searched on first use");
+        assert_eq!(oracle.reach(&g, 1), 2, "memoised");
+        assert_eq!(oracle.total(&g), 6);
     }
 
     #[test]

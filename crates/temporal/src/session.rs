@@ -34,7 +34,7 @@
 use crate::delta::DeltaApply;
 use crate::engine::{BatchSweeper, Lane, LaneStats, MAX_LANES};
 use crate::network::TemporalNetwork;
-use crate::reachability::treach_holds_scratch;
+use crate::reachability::{treach_holds_scratch_with, StaticReach};
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{EngineKind, FrontierEngine, SweepScratch, WideStats};
 use crate::{LabelAssignment, TemporalError, Time, NEVER};
@@ -153,6 +153,10 @@ pub struct QuerySession {
     /// lane, and same-component lanes retire once their frontier
     /// saturates the component.
     components: Option<Components>,
+    /// The static side of `T_reach`, built by the first
+    /// [`QuerySession::treach_holds`] for the same reason: the graph
+    /// outlives every assignment the session sees.
+    static_reach: Option<StaticReach>,
     lanes: Vec<Lane>,
     lane_arrivals: Vec<Time>,
     lane_slots: Vec<usize>,
@@ -176,6 +180,7 @@ impl QuerySession {
             scratch,
             cursor_live: false,
             components: None,
+            static_reach: None,
             lanes: Vec::new(),
             lane_arrivals: Vec::new(),
             lane_slots: Vec::new(),
@@ -456,10 +461,14 @@ impl QuerySession {
 
     /// Does the resident assignment preserve static reachability
     /// (`T_reach`, Definition 6)? Sequential, against the session's own
-    /// pooled scratch — the probe path of `minimal_r_adaptive`.
+    /// pooled scratch and its one [`StaticReach`] oracle — the probe path
+    /// of `minimal_r_adaptive`, where a warm check allocates nothing.
     #[must_use]
     pub fn treach_holds(&mut self) -> bool {
-        treach_holds_scratch(&self.tn, &mut self.scratch)
+        let oracle = self
+            .static_reach
+            .get_or_insert_with(|| StaticReach::new(self.tn.graph()));
+        treach_holds_scratch_with(&self.tn, &mut self.scratch, oracle).0
     }
 
     /// Drop the cursor (answers fall back to lane passes). The serve
