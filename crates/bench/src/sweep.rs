@@ -93,11 +93,11 @@ impl SweepSpec {
     }
 
     /// A small smoke grid (the `--quick` preset and the CI gate). The
-    /// sizes straddle the batch crossover so the quick grid exercises —
-    /// and its rows report — all three sweep engines: `batch` at n = 36,
-    /// `wide` on the n = 224 clique and near-threshold G(n,p) (whose
-    /// high degree keeps it off the event-driven engine), `sparse` on
-    /// the n = 224 star.
+    /// sizes straddle the crossover so the quick grid's rows report all
+    /// three engine tags: `wide` at n = 36 and on the n = 224 clique and
+    /// near-threshold G(n,p) (whose high degree keeps it off the
+    /// event-driven engine), `sparse` on the n = 224 star, and `batch`
+    /// on `T_reach` cells that the 64-lane probe decided alone.
     #[must_use]
     pub fn quick(seed: u64) -> Self {
         Self {
@@ -215,9 +215,10 @@ impl SweepSpec {
 /// `engine` field names the journey engine that **actually answered**
 /// the cell (`"wide"` / `"sparse"` / `"batch"` / `"scalar"`, the
 /// heaviest path across its trials — a `T_reach` cell decided entirely
-/// by the 64-lane probe block reports `"batch"` whatever the density
-/// dispatch would have predicted), so a perf regression in the sweep
-/// path is attributable to the engine that produced it.
+/// by the 64-lane probe block reports `"batch"` whatever engine the
+/// density dispatch picked for the blocks after it), so a perf
+/// regression in the sweep path is attributable to the engine that
+/// produced it.
 #[must_use]
 pub fn render_row(fingerprint: u64, cell: &Scenario, out: &ScenarioOutcome) -> String {
     let half_width = if out.half_width.is_finite() {

@@ -77,14 +77,14 @@ fn correlated_rows_attribute_replay_work_and_cold_rows_report_zero() {
                 "cold-trial metrics never touch the cursor: {row}"
             );
         }
-        // The tiny grid sits below the batch crossover, so the sparse
+        // The tiny grid sits below the crossover, so the sparse
         // engine (and its arena) never runs: the accounting fields are
         // present and zero — pinning the rowfmt 6 schema tail.
         assert!(
             row.ends_with(
                 "\"arena_hiwater_words\":0,\"compactions\":0,\"degraded\":0,\"status\":\"ok\"}"
             ),
-            "batch-served rows carry zero arena accounting: {row}"
+            "rows below the crossover carry zero arena accounting: {row}"
         );
     }
     assert!(delta_rows > 0 && cold_rows > 0);
@@ -227,7 +227,7 @@ fn cli_quick_sweep_emits_one_json_row_per_cell() {
     for (line, cell) in lines.iter().zip(&expected) {
         assert_eq!(parse_cell_id(line), Some(cell.id().as_str()), "{line}");
     }
-    // The quick grid straddles the batch crossover and mixes dense and
+    // The quick grid straddles the crossover and mixes dense and
     // sparse substrates, so all three sweep engines must appear in its
     // rows (the CI gate greps for the same three tags).
     for tag in [

@@ -6,9 +6,9 @@
 //! shared graph CSR, rebuild the time-edge index in place, and compute the
 //! instance diameter exactly through whichever journey engine the
 //! density-aware `EngineChoice` selects — the single-pass wide-frontier
-//! sweep on dense instances above the batch crossover, the event-driven
-//! sparse sweep on sparse ones, the 64-lane batched engine below — then
-//! summarise across trials. Theorem 4 predicts `TD ≤ γ·log n` w.h.p. for
+//! sweep below the crossover and on dense instances above it, the
+//! event-driven sparse sweep on sparse ones — then summarise across
+//! trials. Theorem 4 predicts `TD ≤ γ·log n` w.h.p. for
 //! the directed normalized U-RT clique; experiment E02 fits `γ`.
 
 use ephemeral_graph::{generators, Graph};
@@ -62,8 +62,8 @@ impl TrialScratch {
 
     /// Draw trial `trial`'s labels into the spare buffers, swap them into
     /// the network, and return the instance diameter. The engine is
-    /// picked per instance by the density-aware dispatch (batched below
-    /// the crossover, wide/sparse by occupied-bucket fill above it);
+    /// picked per instance by the density-aware dispatch (wide below the
+    /// crossover, wide/sparse by occupied-bucket fill above it);
     /// `inner_threads > 1` additionally shards the instance across
     /// workers, 1 reuses this scratch's sweepers. All paths report
     /// identical numbers.
@@ -89,8 +89,8 @@ impl TrialScratch {
 
 /// Estimate `TD` of the UNI-CASE model over a fixed graph. Each worker owns
 /// one copy of the graph CSR for the whole run; each trial redraws labels
-/// into per-worker scratch and runs the batch engine — batches × threads,
-/// not sources × threads.
+/// into per-worker scratch and runs the dispatched engine — trials ×
+/// threads, not sources × threads.
 ///
 /// # Panics
 /// If `trials == 0`, the graph is empty, or `lifetime == 0`.
@@ -108,8 +108,8 @@ pub fn td_montecarlo(
     let seq = SeedSequence::new(seed);
 
     // Memory strategy: for large graphs a clique instance is ~100 MB, so
-    // trials run sequentially with batch-level parallelism inside; for
-    // small graphs one trial's few batches cannot feed many threads, so we
+    // trials run sequentially with column-block parallelism inside; for
+    // small graphs one trial's few blocks cannot feed many threads, so we
     // fan out across trials instead (one scratch per worker).
     let big = graph.num_edges() >= 1 << 20;
     let results: Vec<(Time, bool)> = if big {
@@ -176,7 +176,7 @@ pub struct AdaptiveDiameterEstimate {
 /// Adaptive-stopping estimate of `TD` over a fixed graph (see
 /// [`AdaptiveDiameterEstimate`]). Uses the same per-worker scratch loop as
 /// [`td_montecarlo`]; large graphs (≥ 2²⁰ edges) run trials sequentially
-/// with batch-level engine parallelism instead, without changing any
+/// with column-block engine parallelism instead, without changing any
 /// reported number.
 ///
 /// # Panics

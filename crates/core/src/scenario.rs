@@ -23,7 +23,6 @@ use ephemeral_parallel::par_map_with;
 use ephemeral_rng::{DefaultRng, RandomSource, SeedSequence};
 use ephemeral_temporal::distance::instance_temporal_diameter_scratch_traced;
 use ephemeral_temporal::reachability::{treach_holds_scratch_with, StaticReach};
-use ephemeral_temporal::sparse::EngineChoice;
 use ephemeral_temporal::wide::{EngineKind, SweepScratch};
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -255,33 +254,6 @@ impl Metric {
             Self::FloodTime => "flood",
         }
     }
-
-    /// The journey engine the density-aware dispatch *predicts* for this
-    /// metric on an instance with `nodes` vertices, `occupied_buckets`
-    /// non-empty time buckets and `time_edges` labels (see
-    /// [`EngineChoice::pick`]). Flooding is inherently single-source and
-    /// stays on the scalar sweep; the all-pairs metrics dispatch on the
-    /// batch crossover and the occupied-bucket density.
-    ///
-    /// This is a prediction only — sweep rows report the engine that
-    /// **actually answered** each cell ([`ScenarioOutcome::engine`]),
-    /// which can differ: a `T_reach` cell whose every trial fails at the
-    /// 64-lane probe block was served end-to-end by batch-sized work,
-    /// whatever the density dispatch would have picked for a full sweep.
-    #[must_use]
-    pub const fn engine(
-        &self,
-        nodes: usize,
-        occupied_buckets: usize,
-        time_edges: usize,
-    ) -> EngineKind {
-        match self {
-            Self::FloodTime => EngineKind::Scalar,
-            Self::TemporalDiameter | Self::TreachProbability | Self::TreachCorrelated => {
-                EngineChoice::pick(nodes, occupied_buckets, time_edges)
-            }
-        }
-    }
 }
 
 /// Total order on engines by the weight of the path they represent — the
@@ -346,9 +318,9 @@ pub struct ScenarioOutcome {
     /// answered** a trial of this cell (`"wide"` / `"sparse"` /
     /// `"batch"` / `"scalar"`) — the attribution sweep rows report so
     /// perf regressions are traceable. A `T_reach` cell whose every trial
-    /// failed at the 64-lane probe block reports `"batch"` even above the
-    /// crossover: the full-width engine never ran (see
-    /// [`Metric::engine`] for the dispatch prediction).
+    /// was decided by the 64-lane probe reports `"batch"` at any size (a
+    /// failing probe, or `n ≤ 64`, where the probe covers every source):
+    /// no full-width engine ran.
     pub engine: &'static str,
     /// Buckets the differential cursor replayed across the cell's Gibbs
     /// steps — the work attribution of [`Metric::TreachCorrelated`]
@@ -363,17 +335,17 @@ pub struct ScenarioOutcome {
     /// Degradation events summed across the cell's trials: forced arena
     /// compactions under a word budget plus closure row-block shrinks
     /// under the byte budget — sweeps that completed by doing extra work
-    /// instead of aborting (see `WideStats::degraded`).
+    /// instead of aborting (see `SweepStats::degraded`).
     pub degraded: usize,
 }
 
 /// Per-worker trial scratch: an owned network whose labels are redrawn in
-/// place, the spare assignment the draw writes into, and both journey
-/// engines' sweepers (the crossover picks which engine runs). The
-/// diameter metric reuses every buffer like `diameter::td_montecarlo`
-/// (zero warm-trial allocations). `T_reach` reuses the same buffers and
-/// reads its static counts from the cell's one shared [`StaticReach`],
-/// so a warm batch-regime trial allocates nothing either.
+/// place, the spare assignment the draw writes into, and every journey
+/// engine's sweeper (the density dispatch picks which full-width engine
+/// runs). The diameter metric reuses every buffer like
+/// `diameter::td_montecarlo` (zero warm-trial allocations). `T_reach`
+/// reuses the same buffers and reads its static counts from the cell's
+/// one shared [`StaticReach`], so a warm trial allocates nothing either.
 struct Scratch {
     tn: TemporalNetwork,
     spare: LabelAssignment,
@@ -849,19 +821,12 @@ mod tests {
             n,
         };
         let clique = GraphFamily::Clique { directed: true };
+        // Below the crossover the wide engine serves the diameter.
         let small = mk(clique, Metric::TemporalDiameter, 32).evaluate(&quick_cfg(), 1, 1);
-        assert_eq!(small.engine, "batch");
+        assert_eq!(small.engine, "wide");
         let flood = mk(clique, Metric::FloodTime, 32).evaluate(&quick_cfg(), 1, 1);
         assert_eq!(flood.engine, "scalar");
-        // The prediction: dense instances ride wide, sparse ones the
-        // event-driven engine, flooding the scalar sweep.
         let n = WIDE_CROSSOVER + 8;
-        assert_eq!(Metric::TemporalDiameter.engine(n, n, n * n).name(), "wide");
-        assert_eq!(
-            Metric::TemporalDiameter.engine(n, n, 2 * n).name(),
-            "sparse"
-        );
-        assert_eq!(Metric::FloodTime.engine(n, n, n * n).name(), "scalar");
         let light = AdaptiveConfig::new(5.0)
             .with_min_trials(2)
             .with_batch(2)
@@ -885,10 +850,11 @@ mod tests {
     #[test]
     fn treach_cells_answered_by_the_probe_report_batch() {
         // The engine-attribution regression: above the crossover the
-        // density dispatch *predicts* the sparse engine for a star, but a
+        // density dispatch picks the sparse engine for a star (n − 1
+        // single labels over ~(1 − 1/e)·n occupied buckets), but a
         // single-label star essentially never preserves reachability and
-        // every trial fails at the 64-lane probe block — batch-sized work
-        // end to end, and the row must say so.
+        // every trial fails at the 64-lane probe block — one lane pass
+        // per trial, and the row must say so.
         use ephemeral_temporal::wide::WIDE_CROSSOVER;
         let n = WIDE_CROSSOVER + 8;
         let sc = Scenario {
@@ -898,14 +864,6 @@ mod tests {
             metric: Metric::TreachProbability,
             n,
         };
-        // The dispatch prediction at a drawn star's shape: n − 1 single
-        // labels spread over ~(1 − 1/e)·n occupied buckets is far below
-        // the dense-fill threshold.
-        assert_eq!(
-            sc.metric.engine(n, 2 * n / 3, n - 1).name(),
-            "sparse",
-            "the dispatch prediction for a sparse star"
-        );
         let out = sc.evaluate(&quick_cfg(), 5, 2);
         assert_eq!(out.estimate, 0.0, "one label cannot serve a star");
         assert_eq!(
@@ -931,6 +889,18 @@ mod tests {
         );
         assert_eq!(sure.estimate, 1.0);
         assert_eq!(sure.engine, "wide", "holding trials sweep every block");
+        // At n ≤ 64 the probe covers every source: a holding cell is
+        // answered by the lane pass alone, too.
+        let small = Scenario {
+            family: GraphFamily::Clique { directed: false },
+            model: LabelModelSpec::UniformSingle,
+            lifetime: LifetimeRule::EqualsN,
+            metric: Metric::TreachProbability,
+            n: 32,
+        }
+        .evaluate(&quick_cfg(), 5, 1);
+        assert_eq!(small.estimate, 1.0);
+        assert_eq!(small.engine, "batch", "no block remains after the probe");
     }
 
     #[test]

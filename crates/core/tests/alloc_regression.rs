@@ -3,11 +3,11 @@
 //! The per-trial path — draw a UNI-CASE assignment into scratch (one bulk
 //! draw, single- or multi-label), swap it into the network with an
 //! in-place bucket rebuild (occupied-times skip list included), run the
-//! batch or wide engine, or check `T_reach` against the substrate's one
-//! shared static oracle — is designed to allocate **nothing** once its
-//! buffers are warm. A counting global allocator pins that down; a
-//! regression here means a `Vec` started being reborn per trial somewhere
-//! in the loop.
+//! dispatched wide or sparse engine, or check `T_reach` against the
+//! substrate's one shared static oracle — is designed to allocate
+//! **nothing** once its buffers are warm. A counting global allocator
+//! pins that down; a regression here means a `Vec` started being reborn
+//! per trial somewhere in the loop.
 //!
 //! This file deliberately holds a single `#[test]`: the counter is global
 //! to the test binary, so concurrent tests would pollute the count.
@@ -16,9 +16,8 @@ use ephemeral_core::models::{LabelModel, UniformMulti, UniformSingle};
 use ephemeral_core::urtn::resample_single_in_place;
 use ephemeral_graph::generators;
 use ephemeral_rng::default_rng;
-use ephemeral_temporal::distance::instance_temporal_diameter_reusing;
-use ephemeral_temporal::engine::BatchSweeper;
-use ephemeral_temporal::wide::WideSweeper;
+use ephemeral_temporal::distance::instance_temporal_diameter_scratch;
+use ephemeral_temporal::wide::{EngineKind, SweepScratch, WideSweeper};
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +58,7 @@ fn allocations() -> u64 {
 
 #[test]
 fn warm_montecarlo_trials_do_not_allocate() {
-    let n = 96; // two engine batches, so the ragged batch path is exercised
+    let n = 96; // two frontier words, the second one ragged
     let graph = generators::clique(n, true);
     let lifetime = n as u32;
     let model = UniformSingle { lifetime };
@@ -69,13 +68,15 @@ fn warm_montecarlo_trials_do_not_allocate() {
         LabelAssignment::single(vec![1; graph.num_edges()]).expect("constant labels are non-zero");
     let mut tn = TemporalNetwork::new(graph, placeholder, lifetime).expect("valid network");
     let mut spare = LabelAssignment::default();
-    let mut sweeper = BatchSweeper::new();
+    let mut sweeper = SweepScratch::new();
 
-    // Warm-up: let every buffer reach its steady-state capacity.
+    // Warm-up: let every buffer reach its steady-state capacity. Below
+    // the crossover this is the wide engine's one-block schedule, the
+    // path the Monte Carlo loop takes.
     let mut warm_diam = 0u64;
     for _ in 0..3 {
         resample_single_in_place(&mut tn, &mut spare, &mut rng);
-        let d = instance_temporal_diameter_reusing(&tn, &mut sweeper);
+        let d = instance_temporal_diameter_scratch(&tn, &mut sweeper);
         warm_diam += u64::from(d.max_finite);
     }
     assert!(warm_diam > 0, "clique trials produce finite diameters");
@@ -85,7 +86,7 @@ fn warm_montecarlo_trials_do_not_allocate() {
     let mut acc = 0u64;
     for _ in 0..20 {
         resample_single_in_place(&mut tn, &mut spare, &mut rng);
-        let d = instance_temporal_diameter_reusing(&tn, &mut sweeper);
+        let d = instance_temporal_diameter_scratch(&tn, &mut sweeper);
         acc += u64::from(d.max_finite) + d.unreachable_pairs as u64;
     }
     let during = allocations() - before;
@@ -126,36 +127,43 @@ fn warm_montecarlo_trials_do_not_allocate() {
         "warm UniformMulti draws must not allocate (saw {during} allocations in 50 draws)"
     );
 
-    // A warm `T_reach` trial in the batch regime: redraw, then check
-    // against the substrate's one shared static oracle. The directed
-    // clique always holds, so every source's BFS count is memoised by the
-    // warm-up and the measured trials only sweep.
+    // A warm `T_reach` trial below and above the crossover: redraw, then
+    // check against the substrate's one shared static oracle. The
+    // directed clique always holds, so every source's BFS count is
+    // memoised by the warm-up and the measured trials only sweep — the
+    // 64-lane probe, then the wide blocks after it.
+    use ephemeral_core::urtn::placeholder_network;
     use ephemeral_temporal::reachability::{treach_holds_scratch_with, StaticReach};
-    let oracle = StaticReach::new(tn.graph());
-    let mut trial_scratch = SweepScratch::new();
-    for _ in 0..3 {
-        resample_single_in_place(&mut tn, &mut spare, &mut rng);
-        let (holds, _) = treach_holds_scratch_with(&tn, &mut trial_scratch, &oracle);
-        assert!(holds, "a single-label clique preserves reachability");
-    }
-    let before = allocations();
-    let mut held = 0usize;
-    for _ in 0..20 {
-        resample_single_in_place(&mut tn, &mut spare, &mut rng);
-        let (holds, engine) = treach_holds_scratch_with(&tn, &mut trial_scratch, &oracle);
-        held += usize::from(holds);
+    for n_treach in [96usize, 224] {
+        let graph = generators::clique(n_treach, true);
+        let mut tn = placeholder_network(&graph, n_treach as u32);
+        let oracle = StaticReach::new(tn.graph());
+        let mut trial_scratch = SweepScratch::new();
+        for _ in 0..3 {
+            resample_single_in_place(&mut tn, &mut spare, &mut rng);
+            let (holds, _) = treach_holds_scratch_with(&tn, &mut trial_scratch, &oracle);
+            assert!(holds, "a single-label clique preserves reachability");
+        }
+        let before = allocations();
+        let mut held = 0usize;
+        for _ in 0..20 {
+            resample_single_in_place(&mut tn, &mut spare, &mut rng);
+            let (holds, engine) = treach_holds_scratch_with(&tn, &mut trial_scratch, &oracle);
+            held += usize::from(holds);
+            assert_eq!(
+                engine,
+                EngineKind::Wide,
+                "n = {n_treach}: holding trials sweep the blocks after the probe"
+            );
+        }
+        let during = allocations() - before;
+        assert_eq!(held, 20, "keep the loop observable");
         assert_eq!(
-            engine,
-            EngineKind::Batch,
-            "n = {n} runs in the batch regime"
+            during, 0,
+            "warm T_reach trials at n = {n_treach} must not allocate (saw {during} \
+             allocations in 20 trials)"
         );
     }
-    let during = allocations() - before;
-    assert_eq!(held, 20, "keep the loop observable");
-    assert_eq!(
-        during, 0,
-        "warm T_reach trials must not allocate (saw {during} allocations in 20 trials)"
-    );
 
     // The wide-engine trial path: same draw-and-swap loop, but the sweep
     // is a single wide pass over the occupied-times index. Covers both
@@ -193,10 +201,8 @@ fn warm_montecarlo_trials_do_not_allocate() {
     // large n: resample in place, then `instance_temporal_diameter_scratch`
     // (wide engine, cache-blocked schedule via the allocation-free
     // `block_schedule` iterator).
-    use ephemeral_core::urtn::placeholder_network;
-    use ephemeral_temporal::distance::instance_temporal_diameter_scratch;
     use ephemeral_temporal::sparse::EngineChoice;
-    use ephemeral_temporal::wide::{EngineKind, SweepScratch, WIDE_CROSSOVER};
+    use ephemeral_temporal::wide::WIDE_CROSSOVER;
     let n_wide = WIDE_CROSSOVER + 64;
     let graph = generators::clique(n_wide, true);
     let mut tn = placeholder_network(&graph, n_wide as u32);

@@ -5,24 +5,21 @@
 //! asked. [`ReachabilityMatrix`] packs the closure into `n²/8` bytes of
 //! `u64` words and answers pair queries, per-source counts, and the
 //! pair-deficit (how many ordered pairs lack a journey) with word-parallel
-//! popcounts. The closure is computed by whichever engine the
-//! density-aware [`EngineChoice`] selects:
-//! the single-pass [`wide`](crate::wide) engine on dense instances above
-//! the batch crossover (saturation early-exit, empty-bucket skipping),
-//! the event-driven [`sparse`](crate::sparse) engine on sparse ones, and
-//! one [`engine`](crate::engine) sweep per batch of 64 sources below the
-//! crossover — the per-source scalar sweep remains the differential
-//! oracle (see this module's tests, `tests/engine_proptests.rs`,
+//! popcounts. The closure is computed by whichever full-width engine the
+//! density-aware [`EngineChoice`] selects: the single-pass
+//! [`wide`](crate::wide) engine below the crossover and on dense
+//! instances above it (saturation early-exit, empty-bucket skipping),
+//! the event-driven [`sparse`](crate::sparse) engine on sparse ones —
+//! the per-source scalar sweep remains the differential oracle (see this
+//! module's tests, `tests/engine_proptests.rs`,
 //! `tests/wide_proptests.rs` and `tests/sparse_proptests.rs`).
 
-use crate::engine::{batch_count, batch_range, BatchSweeper};
 use crate::kernels;
 use crate::network::TemporalNetwork;
-use crate::session::closure_rows_into;
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{source_blocks, FrontierEngine};
 use ephemeral_graph::NodeId;
-use ephemeral_parallel::{par_for_with, par_map_with};
+use ephemeral_parallel::par_map_with;
 use std::ops::Range;
 
 /// Bit-packed `n × n` temporal reachability closure (row = source).
@@ -35,11 +32,10 @@ pub struct ReachabilityMatrix {
 
 impl ReachabilityMatrix {
     /// Compute the closure: bit `(s, t)` is set iff a journey `s → t`
-    /// exists (diagonal bits are set — a vertex reaches itself). Above
-    /// the batch crossover, one full-width sweep per column block (blocks
-    /// fanned out over `threads`) through whichever frontier engine the
-    /// density-aware [`EngineChoice::pick`] selects; below, one engine
-    /// sweep per batch of 64 sources. Every path produces identical bits.
+    /// exists (diagonal bits are set — a vertex reaches itself). One
+    /// full-width sweep per column block (blocks fanned out over
+    /// `threads`) through whichever frontier engine the density-aware
+    /// [`EngineChoice::pick`] selects. Every path produces identical bits.
     #[must_use]
     pub fn compute(tn: &TemporalNetwork, threads: usize) -> Self {
         let n = tn.num_nodes();
@@ -55,17 +51,7 @@ impl ReachabilityMatrix {
                 closure_blocks::<S>(self.tn, self.threads, &blocks)
             }
         }
-        let chunks =
-            EngineChoice::dispatch(tn, threads, Closure { tn, threads }).unwrap_or_else(|| {
-                // Below the crossover each 64-source batch runs through
-                // the shared lane-pass core of `session` — the same pass
-                // that answers point queries.
-                par_for_with(batch_count(n), threads, BatchSweeper::new, |sweeper, b| {
-                    let mut rows = Vec::new();
-                    closure_rows_into(tn, sweeper, batch_range(n, b), &mut rows);
-                    rows
-                })
-            });
+        let chunks = EngineChoice::run(tn, threads, Closure { tn, threads });
         let mut bits = Vec::with_capacity(n * words_per_row);
         for chunk in chunks {
             bits.extend(chunk);

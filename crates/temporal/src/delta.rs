@@ -114,10 +114,11 @@
 //! assert!(delta.replayed_buckets >= 1);
 //! ```
 
+use crate::engine::SweepStats;
 use crate::kernels::{self, AlignedSlab};
 use crate::network::{LabelMove, TemporalNetwork};
 use crate::sparse::{EngineChoice, FrontierRun, SparseSweeper};
-use crate::wide::{EngineKind, FrontierEngine, SweepScratch, WideStats, WideSweeper};
+use crate::wide::{EngineKind, FrontierEngine, SweepScratch, WideSweeper};
 use crate::Time;
 use ephemeral_graph::{EdgeId, Graph, NodeId};
 use ephemeral_parallel::faults::{self, CancelToken};
@@ -130,15 +131,12 @@ use std::collections::BinaryHeap;
 /// each `(word, bit)` set exactly once per sweep, callbacks in
 /// non-decreasing bucket time — records correctly, so the trait adds a
 /// single provided method and the per-engine impls are empty markers.
-/// The 64-lane batched engine is not a [`FrontierEngine`]; dispatch
-/// paths record through the wide engine instead (bit-identical rows,
-/// see [`SweepScratch::record_delta`]).
 pub trait DeltaSweep: FrontierEngine {
     /// Run one full all-source sweep (`sources = 0..n`, start time 0,
     /// full lifetime) through this engine, memoizing it into `cursor`
     /// so subsequent [`DeltaCursor::apply_label_move`] calls replay
     /// differentially instead of re-sweeping cold.
-    fn record(&mut self, tn: &TemporalNetwork, cursor: &mut DeltaCursor) -> WideStats
+    fn record(&mut self, tn: &TemporalNetwork, cursor: &mut DeltaCursor) -> SweepStats
     where
         Self: Sized,
     {
@@ -319,15 +317,13 @@ impl DeltaCursor {
     /// Sweep statistics of the maintained closure; see the type-level
     /// note on `buckets_visited`.
     #[must_use]
-    pub fn stats(&self) -> WideStats {
-        WideStats {
+    pub fn stats(&self) -> SweepStats {
+        SweepStats {
             lanes: self.n,
             reached_bits: self.reached,
             last_arrival: self.last_arrival,
             buckets_visited: self.nonempty_buckets,
-            arena_hiwater_words: 0,
-            compactions: 0,
-            degraded: 0,
+            ..SweepStats::default()
         }
     }
 
@@ -338,7 +334,7 @@ impl DeltaCursor {
         &mut self,
         tn: &TemporalNetwork,
         engine: &mut S,
-    ) -> WideStats {
+    ) -> SweepStats {
         let n = tn.num_nodes();
         let width = n.div_ceil(64);
         debug_assert!(width <= 1 << 16, "row word index must fit u16");
@@ -893,19 +889,16 @@ fn reconcile(
 impl SweepScratch {
     /// Record the pooled [`DeltaCursor`] from one all-source sweep,
     /// dispatched density-aware exactly like the cold entry points
-    /// ([`EngineChoice::dispatch`]). Instances below the batch
-    /// crossover record through the wide engine — the batched sweeper
-    /// is not a [`FrontierEngine`], and wide rows are bit-identical to
-    /// its lanes — so the reported [`EngineKind`] is the engine that
-    /// actually ran. Returns the sweep stats and that attribution.
-    pub fn record_delta(&mut self, tn: &TemporalNetwork) -> (WideStats, EngineKind) {
+    /// ([`EngineChoice::run`]). Returns the sweep stats and the engine
+    /// that ran.
+    pub fn record_delta(&mut self, tn: &TemporalNetwork) -> (SweepStats, EngineKind) {
         struct Record<'a> {
             tn: &'a TemporalNetwork,
             delta: &'a mut DeltaCursor,
             scratch: &'a mut SweepScratch,
         }
         impl FrontierRun for Record<'_> {
-            type Out = (WideStats, EngineKind);
+            type Out = (SweepStats, EngineKind);
             fn run<S: FrontierEngine>(self, _shards: usize) -> Self::Out {
                 let stats = self
                     .delta
@@ -916,7 +909,7 @@ impl SweepScratch {
         // The cursor rides outside the scratch for the duration of the
         // dispatch so the selected engine can be borrowed from it.
         let mut delta = std::mem::take(&mut self.delta);
-        let out = EngineChoice::dispatch(
+        let out = EngineChoice::run(
             tn,
             1,
             Record {
@@ -924,8 +917,7 @@ impl SweepScratch {
                 delta: &mut delta,
                 scratch: &mut *self,
             },
-        )
-        .unwrap_or_else(|| (delta.record_from(tn, &mut self.wide), EngineKind::Wide));
+        );
         self.delta = delta;
         out
     }
@@ -1202,7 +1194,7 @@ mod tests {
         assert_eq!(kind, EngineKind::Sparse);
         assert_matches_cold(&scratch.delta, &tn);
         assert!(stats.reached_bits >= 210);
-        // Batch-regime instance records through the wide engine.
+        // Below the crossover the dispatch picks the wide engine.
         let small = random_network(8, 40, false, 20);
         let (_, kind) = scratch.record_delta(&small);
         assert_eq!(kind, EngineKind::Wide);

@@ -3,26 +3,23 @@
 //! The paper's Temporal Diameter (Definition 5) is the **expectation over
 //! random instances** of `max_{s,t} δ(s,t)`; this module computes the inner
 //! quantity — `max_{s,t} δ(s,t)` of one concrete instance — exactly,
-//! through whichever engine the density-aware
-//! [`EngineChoice`] selects: the single-pass
-//! [`wide`](crate::wide) engine on dense instances above the batch
-//! crossover (all sources at once, saturation early-exit, empty-bucket
-//! skipping), the event-driven [`sparse`](crate::sparse) engine on sparse
-//! ones, and the bit-parallel [`engine`](crate::engine) — one sweep per
-//! batch of 64 sources — below. The instance diameter needs no arrival
-//! matrix at all — it is the last time any (source, vertex) bit newly
-//! sets. The Monte Carlo expectation lives in `ephemeral-core::diameter`;
-//! the scalar `foremost` sweep remains the differential oracle for all of
-//! this.
+//! through whichever full-width engine the density-aware
+//! [`EngineChoice`] selects: the single-pass [`wide`](crate::wide)
+//! engine below the crossover and on dense instances above it (all
+//! sources at once, saturation early-exit, empty-bucket skipping), the
+//! event-driven [`sparse`](crate::sparse) engine on sparse ones. The
+//! instance diameter needs no arrival matrix at all — it is the last time
+//! any (source, vertex) bit newly sets. The Monte Carlo expectation lives
+//! in `ephemeral-core::diameter`; the scalar `foremost` sweep remains the
+//! differential oracle for all of this.
 
-use crate::engine::{batch_count, batch_range, BatchSweeper};
 use crate::foremost::foremost;
 use crate::network::TemporalNetwork;
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{block_schedule, source_blocks, EngineKind, FrontierEngine, SweepScratch};
 use crate::Time;
 use ephemeral_graph::NodeId;
-use ephemeral_parallel::{par_for_with, par_map_with};
+use ephemeral_parallel::par_map_with;
 use std::ops::Range;
 
 /// Temporal distances `δ(source, ·)` (earliest arrivals from start time 0);
@@ -55,15 +52,13 @@ impl InstanceDiameter {
 }
 
 /// Compute the instance temporal diameter, dispatched through the
-/// density-aware [`EngineChoice`]: above the batch crossover one
-/// full-width sweep per column block (parallel over blocks; wide on
-/// dense instances, event-driven sparse on sparse ones); below, one
-/// engine sweep per batch of 64 sources, parallel over batches. No
-/// arrival matrix is materialised — the diameter contribution is simply
-/// the last time any bit newly set.
+/// density-aware [`EngineChoice`]: one full-width sweep per column block
+/// (parallel over blocks; wide below the crossover and on dense
+/// instances, event-driven sparse on sparse ones). No arrival matrix is
+/// materialised — the diameter contribution is simply the last time any
+/// bit newly set.
 #[must_use]
 pub fn instance_temporal_diameter(tn: &TemporalNetwork, threads: usize) -> InstanceDiameter {
-    let n = tn.num_nodes();
     struct Diameter<'a> {
         tn: &'a TemporalNetwork,
         threads: usize,
@@ -72,15 +67,10 @@ pub fn instance_temporal_diameter(tn: &TemporalNetwork, threads: usize) -> Insta
         type Out = InstanceDiameter;
         fn run<S: FrontierEngine>(self, shards: usize) -> Self::Out {
             let blocks = source_blocks(self.tn.num_nodes(), shards);
-            reduce_batches(diameter_blocks::<S>(self.tn, self.threads, &blocks))
+            reduce_blocks(diameter_blocks::<S>(self.tn, self.threads, &blocks))
         }
     }
-    EngineChoice::dispatch(tn, threads, Diameter { tn, threads }).unwrap_or_else(|| {
-        let per_batch = par_for_with(batch_count(n), threads, BatchSweeper::new, |sweeper, b| {
-            diameter_batch(tn, sweeper, b)
-        });
-        reduce_batches(per_batch)
-    })
+    EngineChoice::run(tn, threads, Diameter { tn, threads })
 }
 
 /// One full-width stats-only sweep per column block through engine `S`.
@@ -96,30 +86,14 @@ fn diameter_blocks<S: FrontierEngine>(
     })
 }
 
-/// Sequential [`instance_temporal_diameter`] reusing a caller-owned sweeper
-/// — the zero-allocation inner loop of the Monte Carlo estimators in
-/// `ephemeral-core`, which keep one sweeper per worker across trials.
-/// Always runs the batched engine; use
-/// [`instance_temporal_diameter_scratch`] to dispatch density-aware
-/// between the batched, wide and sparse engines.
-#[must_use]
-pub fn instance_temporal_diameter_reusing(
-    tn: &TemporalNetwork,
-    sweeper: &mut BatchSweeper,
-) -> InstanceDiameter {
-    let n = tn.num_nodes();
-    reduce_batches((0..batch_count(n)).map(|b| diameter_batch(tn, sweeper, b)))
-}
-
 /// Sequential instance temporal diameter dispatched through the
 /// density-aware [`EngineChoice`] — the zero-allocation per-trial path of
 /// the Monte Carlo estimators in `ephemeral-core` (locked in by
-/// `crates/core/tests/alloc_regression.rs` on all three paths): on dense
-/// instances above the batch crossover one single-pass wide sweep per
+/// `crates/core/tests/alloc_regression.rs` on both engines): below the
+/// crossover and on dense instances one single-pass wide sweep per
 /// cache-sized column block out of `scratch.wide` ([`block_schedule`]
 /// iterates the schedule without allocating), on sparse ones a single
-/// full-width event-driven sweep out of `scratch.sparse`, below the
-/// crossover `⌈n/64⌉` batched sweeps out of `scratch.batch`. All paths
+/// full-width event-driven sweep out of `scratch.sparse`. Both paths
 /// report identical numbers.
 #[must_use]
 pub fn instance_temporal_diameter_scratch(
@@ -131,9 +105,8 @@ pub fn instance_temporal_diameter_scratch(
 
 /// [`instance_temporal_diameter_scratch`] that also reports which engine
 /// served the instance — the attribution `experiments sweep` rows carry
-/// (see `ephemeral-core`'s `Metric`): [`EngineKind::Wide`],
-/// [`EngineKind::Sparse`] or [`EngineKind::Batch`] exactly as the
-/// dispatch ran.
+/// (see `ephemeral-core`'s `Metric`): [`EngineKind::Wide`] or
+/// [`EngineKind::Sparse`], exactly as the dispatch ran.
 #[must_use]
 pub fn instance_temporal_diameter_scratch_traced(
     tn: &TemporalNetwork,
@@ -152,45 +125,20 @@ pub fn instance_temporal_diameter_scratch_traced(
             // would only multiply the occupied-bucket walk.
             let n = self.tn.num_nodes();
             let sweeper = S::from_scratch(self.scratch);
-            let d = reduce_batches(block_schedule(n, shards).map(|block| {
+            let d = reduce_blocks(block_schedule(n, shards).map(|block| {
                 let stats = sweeper.sweep(self.tn, block, 0, |_, _, _, _| {});
                 (stats.last_arrival, stats.unreached_pairs(n))
             }));
             (d, S::kind())
         }
     }
-    EngineChoice::dispatch(
-        tn,
-        1,
-        DiameterScratch {
-            tn,
-            scratch: &mut *scratch,
-        },
-    )
-    .unwrap_or_else(|| {
-        (
-            instance_temporal_diameter_reusing(tn, &mut scratch.batch),
-            EngineKind::Batch,
-        )
-    })
+    EngineChoice::run(tn, 1, DiameterScratch { tn, scratch })
 }
 
-fn diameter_batch(tn: &TemporalNetwork, sweeper: &mut BatchSweeper, b: usize) -> (Time, usize) {
-    let n = tn.num_nodes();
-    let mut sources = [0 as NodeId; crate::engine::MAX_LANES];
-    let mut lanes = 0;
-    for s in batch_range(n, b) {
-        sources[lanes] = s;
-        lanes += 1;
-    }
-    let stats = sweeper.sweep(tn, &sources[..lanes], 0, |_, _, _| {});
-    (stats.last_arrival, stats.unreached_pairs(n))
-}
-
-fn reduce_batches(per_batch: impl IntoIterator<Item = (Time, usize)>) -> InstanceDiameter {
+fn reduce_blocks(per_block: impl IntoIterator<Item = (Time, usize)>) -> InstanceDiameter {
     let mut max_finite = 0;
     let mut unreachable_pairs = 0;
-    for (max, missing) in per_batch {
+    for (max, missing) in per_block {
         max_finite = max_finite.max(max);
         unreachable_pairs += missing;
     }
@@ -268,20 +216,20 @@ mod tests {
 
     #[test]
     fn engine_matrix_matches_scalar_sweeps_across_batches() {
-        // 130 vertices = 3 batches; compare the engine diameter against
-        // every row of the scalar oracle (the differential contract of the
-        // engine refactor).
+        // 130 vertices = 3 frontier words; compare the engine diameter
+        // against every row of the scalar oracle (the differential
+        // contract of the engine refactor).
         use ephemeral_rng::{RandomSource, SeedSequence};
         let mut rng = SeedSequence::new(77).rng(0);
         let g = generators::gnp(130, 0.05, false, &mut rng);
         let labels =
             LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 64)]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 64).unwrap();
-        // The diameter agrees between the parallel and reusing paths, and
+        // The diameter agrees between the parallel and scratch paths, and
         // with a brute-force reduction of the scalar arrival matrix.
         let d = instance_temporal_diameter(&tn, 3);
-        let mut sweeper = crate::engine::BatchSweeper::new();
-        assert_eq!(d, instance_temporal_diameter_reusing(&tn, &mut sweeper));
+        let mut scratch = crate::wide::SweepScratch::new();
+        assert_eq!(d, instance_temporal_diameter_scratch(&tn, &mut scratch));
         let mut max = 0;
         let mut missing = 0;
         for s in 0..130u32 {
@@ -302,9 +250,9 @@ mod tests {
 
     #[test]
     fn wide_path_matches_scalar_above_the_crossover() {
-        // Above WIDE_CROSSOVER the wide engine serves the instance
-        // diameter; pin it against the batched reference and the scratch
-        // dispatch.
+        // Above WIDE_CROSSOVER the density dispatch serves the instance
+        // diameter; pin it against the scratch dispatch and a brute
+        // reduction of the scalar oracle.
         use ephemeral_rng::{RandomSource, SeedSequence};
         let n = crate::wide::WIDE_CROSSOVER + 21;
         let mut rng = SeedSequence::new(5).rng(3);
@@ -313,10 +261,19 @@ mod tests {
             LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 96)]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 96).unwrap();
         let d = instance_temporal_diameter(&tn, 3);
-        let mut batch = crate::engine::BatchSweeper::new();
-        assert_eq!(d, instance_temporal_diameter_reusing(&tn, &mut batch));
         let mut scratch = crate::wide::SweepScratch::new();
         assert_eq!(d, instance_temporal_diameter_scratch(&tn, &mut scratch));
+        let (mut max, mut missing) = (0, 0);
+        for s in 0..n as NodeId {
+            for (t, a) in temporal_distances(&tn, s).into_iter().enumerate() {
+                if a == NEVER {
+                    missing += 1;
+                } else if t != s as usize {
+                    max = max.max(a);
+                }
+            }
+        }
+        assert_eq!((d.max_finite, d.unreachable_pairs), (max, missing));
     }
 
     #[test]

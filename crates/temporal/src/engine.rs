@@ -1,15 +1,16 @@
-//! Bit-parallel multi-source journey engine.
+//! The 64-lane lane pass: up to 64 single-source foremost queries in one
+//! walk over the label-bucketed time-edge index.
 //!
 //! One scalar [`foremost`](crate::foremost::foremost) sweep answers "when
-//! does *one* source reach every vertex" in `O(M + a)` time. The engine
-//! answers the same question for up to **64 sources in a single pass** over
-//! the label-bucketed time-edge index by packing one source per bit of a
-//! `u64` word per vertex:
+//! does *one* source reach every vertex" in `O(M + a)` time.
+//! [`BatchSweeper::sweep_lanes`] answers up to **64 such queries in a
+//! single pass** by packing one query (a [`Lane`]) per bit of a `u64` word
+//! per vertex:
 //!
-//! * `before[v]` — the set of sources that reached `v` **strictly before**
-//!   the time currently being processed (sources start with their own bit
+//! * `before[v]` — the lanes that reached `v` **strictly before** the time
+//!   currently being processed (each lane starts with its source's bit
 //!   set, mirroring `arrival[source] = start_time`);
-//! * `delta[v]` — the sources newly arriving at `v` **at** the current time.
+//! * `delta[v]` — the lanes newly arriving at `v` **at** the current time.
 //!
 //! Processing time `t` ORs `before[u] & !before[v]` into `delta[v]` for
 //! every edge `(u, v)` available at `t` (both directions when undirected),
@@ -17,31 +18,19 @@
 //! `t` can never extend a journey with another label-`t` edge (labels along
 //! a journey are **strictly** increasing, Definition 2), deferring the
 //! commit to the end of the bucket reproduces the scalar sweep exactly —
-//! the per-(source, target) arrival times are **bit-identical** to 64
-//! independent scalar sweeps, which the differential property tests in
-//! `tests/engine_proptests.rs` pin down.
+//! every lane's arrivals are **bit-identical** to its own scalar sweep,
+//! which `tests/engine_proptests.rs` and `tests/session_proptests.rs` pin
+//! down. Each lane retires on its own (target committed, frontier
+//! saturated, horizon passed), and the pass stops once every lane has.
 //!
-//! Two quantities fall out of the pass for free:
-//!
-//! * arrivals — the commit callback fires once per `(source, vertex)` pair
-//!   at the moment its bit first sets, so recording arrival matrices costs
-//!   `O(reached pairs)` on top of the sweep;
-//! * the **instance temporal diameter** — the last time any bit newly set,
-//!   once all `lanes · n` bits are full, is `max_{s,t} δ(s,t)` of the batch
-//!   with no arrival matrix needed ([`SweepStats::last_arrival`]).
-//!
-//! [`ReachabilityMatrix`](crate::closure::ReachabilityMatrix),
-//! [`instance_temporal_diameter`](crate::distance::instance_temporal_diameter)
-//! and the `T_reach` checks in [`reachability`](crate::reachability) run
-//! through this kernel below
-//! [`WIDE_CROSSOVER`](crate::wide::WIDE_CROSSOVER) (≈64× fewer index
-//! passes than their old source-at-a-time loops); above it the
-//! density-aware [`EngineChoice`](crate::sparse::EngineChoice) picks
-//! between the single-pass [`wide`](crate::wide) engine (dense occupied
-//! buckets) and the event-driven [`sparse`](crate::sparse) engine
-//! (everything else). The batched sweeper remains the engine of choice
-//! for **few-source** queries at any size, and the scalar `foremost`
-//! stays as the differential-testing oracle for all of them.
+//! The lane pass answers the point queries of [`session`](crate::session)
+//! and the 64-lane `T_reach` and connectivity probes of
+//! [`reachability`](crate::reachability). All-source work (closure,
+//! instance diameter, metrics, and the `T_reach` blocks after the probe)
+//! runs on the full-width engine the density-aware
+//! [`EngineChoice`](crate::sparse::EngineChoice) picks —
+//! [`wide`](crate::wide) or [`sparse`](crate::sparse). The scalar
+//! `foremost` stays the differential-testing oracle for all of them.
 
 use crate::kernels::ornot_word;
 use crate::network::TemporalNetwork;
@@ -67,19 +56,42 @@ pub fn batch_range(n: usize, b: usize) -> std::ops::Range<NodeId> {
     lo..hi
 }
 
-/// What a batched sweep observed (counts are per batch, not per source).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one sweep observed — the one stats record every pass returns:
+/// the lane pass ([`BatchSweeper::sweep_lanes`]), the full-width engines
+/// ([`FrontierEngine`](crate::wide::FrontierEngine)) and the differential
+/// cursor ([`DeltaCursor`](crate::delta::DeltaCursor)). A field the pass
+/// has no use for reads 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Number of source lanes the sweep carried (`sources.len()`).
+    /// Number of source lanes the sweep carried.
     pub lanes: usize,
-    /// Total `(source, vertex)` bits set at the end of the sweep, the
-    /// diagonal `(s, s)` bits included. Equals `lanes · n` iff every source
-    /// reached every vertex.
+    /// Total `(lane, vertex)` bits set at the end of the sweep, the
+    /// diagonal included. Equals `lanes · n` iff every lane reached every
+    /// vertex.
     pub reached_bits: usize,
-    /// The last time any bit newly set — `max` over the batch's reached
-    /// off-diagonal pairs of `δ(s, v)`, or `0` when no vertex was newly
+    /// The last time any bit newly set — `max` over the reached
+    /// off-diagonal pairs of `δ(s, v)`, or `0` when nothing was newly
     /// reached.
     pub last_arrival: Time,
+    /// Occupied buckets the pass actually visited before finishing,
+    /// saturating or retiring every lane — `≪ a` on dense instances (the
+    /// early-exit observable), `≤ occupied ≤ min(a, M)` always.
+    pub buckets_visited: usize,
+    /// Lanes of a lane pass that retired before their horizon was
+    /// exhausted — target found or frontier saturated (horizon expiry is
+    /// not "early").
+    pub retired_early: usize,
+    /// High-water mark of the sparse engine's region arena during the
+    /// sweep, in `u32` words.
+    pub arena_hiwater_words: usize,
+    /// Arena compactions the sparse engine performed during the sweep.
+    pub compactions: usize,
+    /// Graceful-degradation events the sweep absorbed instead of
+    /// aborting: forced arena compactions under an
+    /// [`arena budget`](crate::sparse::SparseSweeper::set_arena_budget_words)
+    /// and closure row-block shrinks under the streaming-closure byte
+    /// budget. `0` means the sweep ran at full capacity.
+    pub degraded: usize,
 }
 
 impl SweepStats {
@@ -89,8 +101,8 @@ impl SweepStats {
         self.reached_bits == self.lanes * n
     }
 
-    /// Ordered `(source, vertex)` pairs, `source ≠ vertex`, the sweep did
-    /// **not** connect (diagonal bits are always set, so they cancel).
+    /// Ordered `(lane, vertex)` pairs the sweep did **not** connect
+    /// (diagonal bits are always set, so they cancel).
     #[must_use]
     pub const fn unreached_pairs(&self, n: usize) -> usize {
         self.lanes * n - self.reached_bits
@@ -104,7 +116,7 @@ impl SweepStats {
 /// (its arrival is final — commits are non-decreasing in time), a
 /// targetless lane stays live to its `horizon` collecting a whole
 /// closure/distance row, and every lane retires when its frontier
-/// saturates `saturation` vertices — the batched sweep's global
+/// saturates `saturation` vertices — the full-width engines' global
 /// saturation exit, generalised per lane. A caller that knows the
 /// source's static reachable set (e.g. its connected-component size)
 /// tightens the bound with [`Lane::with_saturation`]; the default is
@@ -173,50 +185,12 @@ impl Lane {
     }
 }
 
-/// What a [`BatchSweeper::sweep_lanes`] pass observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Number of lanes the pass carried.
-    pub lanes: usize,
-    /// Total `(lane, vertex)` bits committed, diagonal included.
-    pub reached_bits: usize,
-    /// The last time any bit newly set across the pass.
-    pub last_arrival: Time,
-    /// Occupied buckets the pass actually scanned.
-    pub buckets_visited: usize,
-    /// Lanes that retired before their horizon was exhausted — target
-    /// found or frontier saturated (horizon expiry is not "early").
-    pub retired_early: usize,
-    /// Did the pass abandon the bucket walk because every lane had
-    /// retired, with occupied buckets still unscanned?
-    pub early_exit: bool,
-}
-
-/// Reusable scratch state of the batched multi-source sweep.
+/// Reusable scratch state of the lane pass.
 ///
-/// Construction is free; the first sweep sizes the internal frontier
-/// buffers to the network and subsequent sweeps reuse them, so a Monte
-/// Carlo loop that keeps one sweeper per worker performs no per-trial
-/// allocation (see `ephemeral-core`'s allocation regression test).
-///
-/// ```
-/// use ephemeral_graph::generators;
-/// use ephemeral_temporal::engine::BatchSweeper;
-/// use ephemeral_temporal::{LabelAssignment, TemporalNetwork, NEVER};
-///
-/// // 0—1 @1, 1—2 @2: source 0 reaches everyone, source 2 only vertex 1.
-/// let tn = TemporalNetwork::new(
-///     generators::path(3),
-///     LabelAssignment::from_vecs(vec![vec![1], vec![2]]).unwrap(),
-///     2,
-/// )
-/// .unwrap();
-/// let mut sweeper = BatchSweeper::new();
-/// let mut arrivals = vec![NEVER; 2 * 3];
-/// let stats = sweeper.arrivals_into(&tn, &[0, 2], 0, &mut arrivals);
-/// assert_eq!(arrivals, vec![0, 1, 2, NEVER, 2, 0]);
-/// assert_eq!(stats.unreached_pairs(3), 1); // 2 never reaches 0
-/// ```
+/// Construction is free; the first pass sizes the internal frontier
+/// buffers to the network and subsequent passes reuse them, so a loop
+/// that keeps one sweeper performs no per-pass allocation (see
+/// `ephemeral-core`'s allocation regression test).
 #[derive(Debug, Clone, Default)]
 pub struct BatchSweeper {
     /// Lanes that reached `v` strictly before the time being processed.
@@ -247,111 +221,6 @@ impl BatchSweeper {
         self.cancel = token;
     }
 
-    /// Run one batched foremost sweep from `sources` (at most
-    /// [`MAX_LANES`]), using labels strictly greater than `start_time`.
-    /// `on_reach(v, lanes, t)` fires once per commit: `lanes` holds the
-    /// source bits that first reached `v` at time `t` (bit `i` ↔
-    /// `sources[i]`), in non-decreasing order of `t`.
-    ///
-    /// Duplicate sources are allowed (their lanes evolve identically).
-    ///
-    /// # Panics
-    /// If `sources.len() > MAX_LANES` or any source is out of range.
-    pub fn sweep(
-        &mut self,
-        tn: &TemporalNetwork,
-        sources: &[NodeId],
-        start_time: Time,
-        on_reach: impl FnMut(NodeId, u64, Time),
-    ) -> SweepStats {
-        self.sweep_with_horizon(tn, sources, start_time, tn.lifetime(), on_reach)
-    }
-
-    /// [`BatchSweeper::sweep`] ignoring every label greater than `horizon`
-    /// (the truncated index of the paper's Theorem 5 construction, matching
-    /// `foremost_with_horizon`).
-    ///
-    /// # Panics
-    /// If `sources.len() > MAX_LANES` or any source is out of range.
-    pub fn sweep_with_horizon(
-        &mut self,
-        tn: &TemporalNetwork,
-        sources: &[NodeId],
-        start_time: Time,
-        horizon: Time,
-        mut on_reach: impl FnMut(NodeId, u64, Time),
-    ) -> SweepStats {
-        let n = tn.num_nodes();
-        let lanes = sources.len();
-        assert!(lanes <= MAX_LANES, "at most {MAX_LANES} sources per batch");
-        self.before.clear();
-        self.before.resize(n, 0);
-        self.delta.clear();
-        self.delta.resize(n, 0);
-        self.touched.clear();
-        for (lane, &s) in sources.iter().enumerate() {
-            assert!((s as usize) < n, "source {s} out of range");
-            self.before[s as usize] |= 1 << lane;
-        }
-        let target = lanes * n;
-        let mut reached_bits = lanes;
-        let mut last_arrival: Time = 0;
-        let directed = tn.graph().is_directed();
-        let last = horizon.min(tn.lifetime());
-        let mut t = start_time.saturating_add(1);
-        while t <= last && reached_bits < target {
-            faults::hit(faults::site::ENGINE_BUCKET, u64::from(t));
-            if let Some(c) = &self.cancel {
-                c.checkpoint();
-            }
-            for &e in tn.edges_at(t) {
-                let (u, v) = tn.graph().endpoints(e);
-                let bu = self.before[u as usize];
-                let bv = self.before[v as usize];
-                // u -> v: lanes that left u before t and have not seen v.
-                let forward = ornot_word(bu, bv);
-                if forward != 0 {
-                    if self.delta[v as usize] == 0 {
-                        self.touched.push(v);
-                    }
-                    self.delta[v as usize] |= forward;
-                }
-                // v -> u for undirected edges.
-                if !directed {
-                    let backward = ornot_word(bv, bu);
-                    if backward != 0 {
-                        if self.delta[u as usize] == 0 {
-                            self.touched.push(u);
-                        }
-                        self.delta[u as usize] |= backward;
-                    }
-                }
-            }
-            // Commit the bucket at once: a vertex first reached at t cannot
-            // relay over another label-t edge, so `before` stays frozen
-            // while the bucket is scanned.
-            let mut touched = std::mem::take(&mut self.touched);
-            for &v in &touched {
-                let fresh = ornot_word(self.delta[v as usize], self.before[v as usize]);
-                self.delta[v as usize] = 0;
-                if fresh != 0 {
-                    self.before[v as usize] |= fresh;
-                    reached_bits += fresh.count_ones() as usize;
-                    last_arrival = t;
-                    on_reach(v, fresh, t);
-                }
-            }
-            touched.clear();
-            self.touched = touched;
-            t += 1;
-        }
-        SweepStats {
-            lanes,
-            reached_bits,
-            last_arrival,
-        }
-    }
-
     /// Run one lane-allocated pass: up to [`MAX_LANES`] independent point
     /// queries packed as lanes of a single walk over the occupied time
     /// buckets, each lane retiring the moment its own answer is final.
@@ -360,8 +229,11 @@ impl BatchSweeper {
     /// ([`NEVER`] when unreachable within the horizon, `start_time` when
     /// `target == source`), or stays [`NEVER`] for targetless row lanes —
     /// their answers stream through `on_reach(v, lanes, t)`, which fires
-    /// exactly as in [`BatchSweeper::sweep`] for every commit of a lane
-    /// that was live at the top of bucket `t`.
+    /// once per commit of lanes that were live at the top of bucket `t`:
+    /// `lanes` holds the lane bits (bit `i` ↔ `lanes[i]`) that first
+    /// reached `v` at time `t`, in non-decreasing order of `t`. Labels at
+    /// or below `start_time` are ignored, and duplicate sources are
+    /// allowed (their lanes evolve identically).
     ///
     /// Lanes are independent (lane `i`'s frontier never reads lane `j`'s
     /// bits), so masking retired lanes out of the propagation leaves every
@@ -369,6 +241,27 @@ impl BatchSweeper {
     /// [`foremost_with_horizon`](crate::foremost::foremost_with_horizon)
     /// sweep — the per-lane early exit is pure work avoidance
     /// (`tests/session_proptests.rs` pins this differentially).
+    ///
+    /// ```
+    /// use ephemeral_graph::generators;
+    /// use ephemeral_temporal::engine::{BatchSweeper, Lane};
+    /// use ephemeral_temporal::{LabelAssignment, TemporalNetwork, NEVER};
+    ///
+    /// // 0—1 @1, 1—2 @2: source 0 reaches vertex 2 at time 2, but vertex
+    /// // 2 never reaches 0.
+    /// let tn = TemporalNetwork::new(
+    ///     generators::path(3),
+    ///     LabelAssignment::from_vecs(vec![vec![1], vec![2]]).unwrap(),
+    ///     2,
+    /// )
+    /// .unwrap();
+    /// let mut sweeper = BatchSweeper::new();
+    /// let lanes = [Lane::foremost(0, 2), Lane::foremost(2, 0)];
+    /// let mut arrivals = [0; 2];
+    /// let stats = sweeper.sweep_lanes(&tn, &lanes, 0, &mut arrivals, |_, _, _| {});
+    /// assert_eq!(arrivals, [2, NEVER]);
+    /// assert_eq!(stats.retired_early, 1); // lane 0, when vertex 2 committed
+    /// ```
     ///
     /// # Panics
     /// If `lanes.len() > MAX_LANES`, `arrivals.len() != lanes.len()`, or
@@ -380,7 +273,7 @@ impl BatchSweeper {
         start_time: Time,
         arrivals: &mut [Time],
         mut on_reach: impl FnMut(NodeId, u64, Time),
-    ) -> LaneStats {
+    ) -> SweepStats {
         let n = tn.num_nodes();
         assert!(
             lanes.len() <= MAX_LANES,
@@ -392,6 +285,9 @@ impl BatchSweeper {
         self.delta.clear();
         self.delta.resize(n, 0);
         self.touched.clear();
+        // At most once per vertex per bucket: reserving `n` keeps a warm
+        // pass from growing it.
+        self.touched.reserve(n);
         self.tmask.clear();
         self.tmask.resize(n, 0);
         arrivals.fill(NEVER);
@@ -446,10 +342,8 @@ impl BatchSweeper {
         let directed = tn.graph().is_directed();
         let occupied = tn.occupied_between(start_time, max_horizon);
         let mut buckets_visited = 0usize;
-        let mut early_exit = false;
         for &t in occupied {
             if active == 0 {
-                early_exit = true;
                 break;
             }
             // Expire lanes whose horizon ended before this bucket; their
@@ -470,7 +364,6 @@ impl BatchSweeper {
                     }
                 }
                 if active == 0 {
-                    early_exit = true;
                     break;
                 }
             }
@@ -500,8 +393,9 @@ impl BatchSweeper {
                     }
                 }
             }
-            // Whole-bucket commit, as in `sweep_with_horizon`. A lane that
-            // retires mid-commit may still commit other bits accumulated
+            // Commit the bucket at once: a vertex first reached at t cannot
+            // relay over another label-t edge, so `before` stays frozen
+            // while the bucket is scanned. A lane that retires mid-commit may still commit other bits accumulated
             // under this bucket's mask — harmless: its answer was final
             // the moment its retirement condition fired.
             let mut touched = std::mem::take(&mut self.touched);
@@ -537,58 +431,14 @@ impl BatchSweeper {
             self.touched = touched;
         }
         self.tmask.clear();
-        LaneStats {
+        SweepStats {
             lanes: lanes.len(),
             reached_bits,
             last_arrival,
             buckets_visited,
             retired_early,
-            early_exit,
+            ..SweepStats::default()
         }
-    }
-
-    /// Sweep and record per-pair arrival times into `out`, laid out
-    /// `out[lane · n + v] = δ(sources[lane], v)` with [`NEVER`] marking
-    /// unreachable pairs and each source reporting its own `start_time` —
-    /// lane-for-lane the `arrivals()` array of a scalar foremost run.
-    ///
-    /// # Panics
-    /// If `out.len() != sources.len() · n`, or as [`BatchSweeper::sweep`].
-    pub fn arrivals_into(
-        &mut self,
-        tn: &TemporalNetwork,
-        sources: &[NodeId],
-        start_time: Time,
-        out: &mut [Time],
-    ) -> SweepStats {
-        let n = tn.num_nodes();
-        assert_eq!(
-            out.len(),
-            sources.len() * n,
-            "arrival buffer must hold sources × vertices entries"
-        );
-        out.fill(NEVER);
-        for (lane, &s) in sources.iter().enumerate() {
-            out[lane * n + s as usize] = start_time;
-        }
-        self.sweep(tn, sources, start_time, |v, mut lanes, t| {
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                out[lane * n + v as usize] = t;
-                lanes &= lanes - 1;
-            }
-        })
-    }
-
-    /// The source lanes that reached `v` during the **most recent** sweep
-    /// (bit `i` ↔ `sources[i]` of that call; sources count themselves).
-    ///
-    /// # Panics
-    /// If `v` is out of range for the last swept network.
-    #[inline]
-    #[must_use]
-    pub fn lanes_reaching(&self, v: NodeId) -> u64 {
-        self.before[v as usize]
     }
 }
 
@@ -620,14 +470,41 @@ mod tests {
         out
     }
 
+    /// One pass of targetless row lanes from `sources`, its streamed
+    /// commits laid out `out[lane · n + v]` ([`NEVER`] when unreached, the
+    /// source's own slot at `start`) — lane for lane the `arrivals()` of
+    /// a scalar `foremost_with_horizon` run.
+    fn row_arrivals(
+        sweeper: &mut BatchSweeper,
+        tn: &TemporalNetwork,
+        sources: &[NodeId],
+        start: Time,
+        horizon: Time,
+    ) -> (Vec<Time>, SweepStats) {
+        let n = tn.num_nodes();
+        let lanes: Vec<Lane> = sources.iter().map(|&s| Lane::row(s, horizon)).collect();
+        let mut out = vec![NEVER; lanes.len() * n];
+        for (i, &s) in sources.iter().enumerate() {
+            out[i * n + s as usize] = start;
+        }
+        let mut arrivals = vec![NEVER; lanes.len()];
+        let stats = sweeper.sweep_lanes(tn, &lanes, start, &mut arrivals, |v, mut bits, t| {
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out[i * n + v as usize] = t;
+            }
+        });
+        (out, stats)
+    }
+
     #[test]
     fn batch_matches_scalar_on_a_path() {
         let g = generators::path(4);
         let labels = LabelAssignment::from_vecs(vec![vec![1], vec![2], vec![3]]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 3).unwrap();
         let sources: Vec<NodeId> = (0..4).collect();
-        let mut out = vec![NEVER; 16];
-        let stats = BatchSweeper::new().arrivals_into(&tn, &sources, 0, &mut out);
+        let (out, stats) = row_arrivals(&mut BatchSweeper::new(), &tn, &sources, 0, NEVER);
         assert_eq!(out, scalar_arrivals(&tn, &sources, 0));
         assert_eq!(stats.lanes, 4);
         assert_eq!(stats.last_arrival, 3);
@@ -644,9 +521,7 @@ mod tests {
                 let mut out = Vec::new();
                 for b in 0..batch_count(n) {
                     let sources: Vec<NodeId> = batch_range(n, b).collect();
-                    let mut chunk = vec![0; sources.len() * n];
-                    sweeper.arrivals_into(&tn, &sources, 0, &mut chunk);
-                    out.extend(chunk);
+                    out.extend(row_arrivals(&mut sweeper, &tn, &sources, 0, NEVER).0);
                 }
                 let all: Vec<NodeId> = (0..n as NodeId).collect();
                 assert_eq!(
@@ -663,8 +538,7 @@ mod tests {
         let tn = random_network(3, 40, false);
         let sources: Vec<NodeId> = (0..40).collect();
         for start in [1, 5, 39] {
-            let mut out = vec![0; 40 * 40];
-            BatchSweeper::new().arrivals_into(&tn, &sources, start, &mut out);
+            let (out, _) = row_arrivals(&mut BatchSweeper::new(), &tn, &sources, start, NEVER);
             assert_eq!(out, scalar_arrivals(&tn, &sources, start), "start {start}");
         }
     }
@@ -674,18 +548,7 @@ mod tests {
         let tn = random_network(5, 30, false);
         let sources: Vec<NodeId> = (0..30).collect();
         let horizon = 7;
-        let mut got = vec![NEVER; 30 * 30];
-        for (lane, &s) in sources.iter().enumerate() {
-            got[lane * 30 + s as usize] = 0;
-        }
-        let mut sweeper = BatchSweeper::new();
-        sweeper.sweep_with_horizon(&tn, &sources, 0, horizon, |v, mut lanes, t| {
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                got[lane * 30 + v as usize] = t;
-                lanes &= lanes - 1;
-            }
-        });
+        let (got, _) = row_arrivals(&mut BatchSweeper::new(), &tn, &sources, 0, horizon);
         let mut expected = Vec::new();
         for &s in &sources {
             expected.extend_from_slice(foremost_with_horizon(&tn, s, 0, horizon).arrivals());
@@ -697,8 +560,7 @@ mod tests {
     fn arbitrary_source_subsets_work() {
         let tn = random_network(9, 50, true);
         let sources: Vec<NodeId> = vec![49, 0, 17, 17, 3]; // duplicates allowed
-        let mut out = vec![0; 5 * 50];
-        BatchSweeper::new().arrivals_into(&tn, &sources, 0, &mut out);
+        let (out, _) = row_arrivals(&mut BatchSweeper::new(), &tn, &sources, 0, NEVER);
         assert_eq!(out, scalar_arrivals(&tn, &sources, 0));
         // Duplicate lanes are bit-identical.
         assert_eq!(out[2 * 50..3 * 50], out[3 * 50..4 * 50]);
@@ -706,13 +568,12 @@ mod tests {
 
     #[test]
     fn stats_count_unreached_pairs() {
-        // Path 0—1—2 with decreasing labels: 0 reaches 1 only; 2 reaches all
-        // of {1}? labels 2,1: from 2 edge 1-2@1 then 0-1@2 chains.
+        // Path 0—1 @2, 1—2 @1: vertices 1 and 2 reach everyone, vertex 0
+        // only 1 (the edge onward to 2 fired before it arrived).
         let g = generators::path(3);
         let labels = LabelAssignment::from_vecs(vec![vec![2], vec![1]]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 2).unwrap();
-        let mut sweeper = BatchSweeper::new();
-        let stats = sweeper.sweep(&tn, &[0, 1, 2], 0, |_, _, _| {});
+        let (_, stats) = row_arrivals(&mut BatchSweeper::new(), &tn, &[0, 1, 2], 0, NEVER);
         let mut expected_bits = 0;
         for s in 0..3 {
             expected_bits += foremost(&tn, s, 0).reached_count();
@@ -726,8 +587,7 @@ mod tests {
     fn last_arrival_is_the_batch_diameter() {
         let tn = random_network(11, 45, false);
         let sources: Vec<NodeId> = (0..45).collect();
-        let mut sweeper = BatchSweeper::new();
-        let stats = sweeper.sweep(&tn, &sources, 0, |_, _, _| {});
+        let (_, stats) = row_arrivals(&mut BatchSweeper::new(), &tn, &sources, 0, NEVER);
         let mut max = 0;
         for s in 0..45 {
             for (v, &a) in foremost(&tn, s, 0).arrivals().iter().enumerate() {
@@ -744,42 +604,46 @@ mod tests {
         let mut sweeper = BatchSweeper::new();
         let tn1 = random_network(1, 60, false);
         let sources: Vec<NodeId> = (0..60).collect();
-        let mut a1 = vec![0; 60 * 60];
-        sweeper.arrivals_into(&tn1, &sources, 0, &mut a1);
+        let (a1, _) = row_arrivals(&mut sweeper, &tn1, &sources, 0, NEVER);
         // A smaller, different network afterwards must not see stale bits.
         let tn2 = random_network(2, 33, true);
         let sources2: Vec<NodeId> = (0..33).collect();
-        let mut a2 = vec![0; 33 * 33];
-        sweeper.arrivals_into(&tn2, &sources2, 0, &mut a2);
+        let (a2, _) = row_arrivals(&mut sweeper, &tn2, &sources2, 0, NEVER);
         assert_eq!(a2, scalar_arrivals(&tn2, &sources2, 0));
         // And the big one still matches when re-swept.
-        let mut a1b = vec![0; 60 * 60];
-        sweeper.arrivals_into(&tn1, &sources, 0, &mut a1b);
+        let (a1b, _) = row_arrivals(&mut sweeper, &tn1, &sources, 0, NEVER);
         assert_eq!(a1, a1b);
+        assert_eq!(a1, scalar_arrivals(&tn1, &sources, 0));
     }
 
     #[test]
     fn lanes_reaching_exposes_the_closure_word() {
+        // Row lanes stream each vertex's closure word: the lanes whose
+        // source it is, plus the lane bits committed at it.
         let g = generators::path(3);
         let labels = LabelAssignment::from_vecs(vec![vec![1], vec![2]]).unwrap();
         let tn = TemporalNetwork::new(g, labels, 2).unwrap();
+        let lanes = [0, 1, 2].map(|s| Lane::row(s, NEVER));
+        let mut word = [0b001u64, 0b010, 0b100];
         let mut sweeper = BatchSweeper::new();
-        sweeper.sweep(&tn, &[0, 1, 2], 0, |_, _, _| {});
+        sweeper.sweep_lanes(&tn, &lanes, 0, &mut [NEVER; 3], |v, bits, _| {
+            word[v as usize] |= bits;
+        });
         // Vertex 2 is reached by sources 0 (via 1) and 1, plus itself.
-        assert_eq!(sweeper.lanes_reaching(2), 0b111);
-        // Vertex 0 is reached only by source 0 and source 1 (edge 0-1 @1?
-        // from 1, label 1 > 0 works).
-        assert_eq!(sweeper.lanes_reaching(0), 0b011);
+        assert_eq!(word[2], 0b111);
+        // Vertex 0 only by itself and source 1 (edge 0—1 @1).
+        assert_eq!(word[0], 0b011);
     }
 
     #[test]
     fn empty_sources_are_a_no_op() {
         let tn = random_network(4, 10, false);
         let mut sweeper = BatchSweeper::new();
-        let stats = sweeper.sweep(&tn, &[], 0, |_, _, _| panic!("no events"));
+        let stats = sweeper.sweep_lanes(&tn, &[], 0, &mut [], |_, _, _| panic!("no events"));
         assert_eq!(stats.lanes, 0);
         assert_eq!(stats.reached_bits, 0);
         assert_eq!(stats.last_arrival, 0);
+        assert_eq!(stats.buckets_visited, 0);
         assert!(stats.all_reached(10), "0 lanes trivially cover 0 bits");
     }
 
@@ -790,8 +654,7 @@ mod tests {
         b.add_edge(1, 2);
         let g = b.build().unwrap();
         let tn = TemporalNetwork::new(g, LabelAssignment::single(vec![1, 2]).unwrap(), 2).unwrap();
-        let mut out = vec![0; 3 * 3];
-        BatchSweeper::new().arrivals_into(&tn, &[0, 1, 2], 0, &mut out);
+        let (out, _) = row_arrivals(&mut BatchSweeper::new(), &tn, &[0, 1, 2], 0, NEVER);
         assert_eq!(out, scalar_arrivals(&tn, &[0, 1, 2], 0));
         assert_eq!(out[0..3], [0, 1, 2]); // 0 reaches everyone in order
         assert_eq!(out[6..9], [NEVER, NEVER, 0]); // 2 reaches only itself
@@ -906,7 +769,6 @@ mod tests {
         let stats = BatchSweeper::new().sweep_lanes(&tn, &lanes, 0, &mut got, |_, _, _| {});
         assert_eq!(got, vec![1, 2]);
         assert_eq!(stats.retired_early, 2);
-        assert!(stats.early_exit);
         assert!(
             stats.buckets_visited <= 2,
             "pass must stop once both lanes retire, saw {}",
@@ -938,17 +800,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 sources")]
+    #[should_panic(expected = "at most 64 lanes")]
     fn too_many_sources_panics() {
         let tn = random_network(1, 80, false);
-        let sources: Vec<NodeId> = (0..65).collect();
-        let _ = BatchSweeper::new().sweep(&tn, &sources, 0, |_, _, _| {});
+        let lanes: Vec<Lane> = (0..65).map(|s| Lane::row(s, NEVER)).collect();
+        let _ = BatchSweeper::new().sweep_lanes(&tn, &lanes, 0, &mut [0; 65], |_, _, _| {});
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_source_panics() {
         let tn = random_network(1, 5, false);
-        let _ = BatchSweeper::new().sweep(&tn, &[9], 0, |_, _, _| {});
+        let lanes = [Lane::row(9, NEVER)];
+        let _ = BatchSweeper::new().sweep_lanes(&tn, &lanes, 0, &mut [0], |_, _, _| {});
     }
 }

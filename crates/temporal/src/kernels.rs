@@ -249,7 +249,7 @@ impl std::ops::Deref for AlignedLanes {
 
 /// OR/ANDN over one word: `a & !b` — the bits of `a` not already in `b`.
 /// The single definition behind every "fresh = reached-from minus
-/// already-reached" word op (batched engine exchanges, delta retract
+/// already-reached" word op (lane-pass exchanges, delta retract
 /// masks and replay accumulation all route here).
 #[inline(always)]
 #[must_use]

@@ -22,23 +22,26 @@
 //!   `M` is the number of time-edges.
 //! * [`foremost`]: earliest-arrival journeys (with reconstruction), and
 //!   [`reverse`]: their latest-departure dual.
-//! * [`engine`]: the bit-parallel multi-source sweep kernel — up to 64
-//!   sources per pass over the time-edge index, with arrivals guaranteed
-//!   **bit-identical** to per-source scalar `foremost` sweeps (property
-//!   tests in `tests/engine_proptests.rs` enforce this; the scalar sweep
-//!   stays as the differential-testing oracle).
+//! * [`engine`]: the 64-lane lane pass — up to 64 single-source queries
+//!   (point queries, or whole rows) packed as lanes of one pass over the
+//!   time-edge index, each lane retiring on its own, with arrivals
+//!   guaranteed **bit-identical** to per-source scalar `foremost` sweeps
+//!   (property tests in `tests/engine_proptests.rs` enforce this; the
+//!   scalar sweep stays as the differential-testing oracle). It answers
+//!   point queries and the 64-lane `T_reach` and connectivity probes, and
+//!   defines [`engine::SweepStats`], the one stats record every pass
+//!   returns.
 //! * [`wide`]: the wide-frontier closure engine — **all `n` sources in a
 //!   single time-ordered pass** (`⌈n/64⌉` frontier words per vertex), with
 //!   saturation early-exit, empty-bucket skipping over
 //!   [`TemporalNetwork::occupied_times`], and deterministic column-block
 //!   sharding for intra-instance parallelism; arrivals bit-identical to
-//!   both the batched engine and the scalar oracle
-//!   (`tests/wide_proptests.rs`).
+//!   the scalar oracle (`tests/wide_proptests.rs`).
 //! * [`sparse`]: the event-driven sparse-frontier engine — sorted
 //!   reacher-lists in an append-only arena with region sharing, so the
 //!   per-bucket cost tracks the frontiers that actually changed instead
-//!   of `n × ⌈n/64⌉`; arrivals bit-identical to the wide engine, the
-//!   batched engine and the scalar oracle (`tests/sparse_proptests.rs`).
+//!   of `n × ⌈n/64⌉`; arrivals bit-identical to the wide engine and the
+//!   scalar oracle (`tests/sparse_proptests.rs`).
 //!   The engine shards deterministically over contiguous source blocks
 //!   (per-worker arena + agenda, shard-ordered folds bit-identical for
 //!   any worker count), compacts its arena under relabel churn, and
@@ -46,22 +49,22 @@
 //!   plus a pooled `for_each_reach_row` visitor — an `n = 10⁶` closure
 //!   never materialises the `n × ⌈n/64⌉` matrix.
 //!   [`sparse::EngineChoice`] is the density-aware dispatch every
-//!   all-source entry point runs through: batched below
-//!   [`wide::WIDE_CROSSOVER`], then wide for dense/high-degree instances
-//!   and event-driven for genuinely sparse ones — with the worker-aware
-//!   `pick_parallel` crediting the wide engine's column-block
-//!   parallelism when entry points fan out.
+//!   all-source entry point runs through, and it always runs one of the
+//!   two full-width engines: wide below [`wide::WIDE_CROSSOVER`], then
+//!   wide for dense/high-degree instances and event-driven for genuinely
+//!   sparse ones — with the worker-aware `pick_parallel` crediting the
+//!   wide engine's column-block parallelism when entry points fan out.
 //! * [`distance`]: single-source temporal distances and the instance
 //!   temporal diameter — engine-dispatched through
 //!   [`sparse::EngineChoice`].
 //! * [`reachability`]: temporal reach sets and the paper's `T_reach`
 //!   property ("every static path is matched by a journey", Definition 6) —
-//!   engine-dispatched checks with early exit (per batch below the
-//!   crossover, probe-block-first above it).
+//!   engine-dispatched checks with early exit (a 64-lane probe first,
+//!   then full-width blocks).
 //! * [`closure`]: bit-packed all-pairs reachability computed by whichever
-//!   engine the size selects; [`metrics`]: whole-network summary
-//!   statistics (temporal efficiency etc.), engine-dispatched the same
-//!   way.
+//!   full-width engine the dispatch selects; [`metrics`]: whole-network
+//!   summary statistics (temporal efficiency etc.), engine-dispatched the
+//!   same way.
 //! * [`delta`]: differential closure maintenance — [`delta::DeltaCursor`]
 //!   records one all-source sweep (any engine, or dispatched via
 //!   [`wide::SweepScratch::record_delta`]) as per-vertex time-ordered
@@ -76,12 +79,12 @@
 //!   [`session::QuerySession`] pins one instance arena-resident and
 //!   answers batches of up to 64 point queries (`reaches(u, v, ≤t)`,
 //!   `foremost(u, v)`, `distance_row(u, horizon)`) as lanes of a single
-//!   [`engine`] pass with per-lane early exit, falls back to the
-//!   density-selected full-width engine for row-shaped queries, and
-//!   serves target queries straight from a live [`delta`] cursor log;
-//!   the `T_reach` probes and batched closure fallbacks share its
-//!   lane-pass core, so point and all-pairs code answer from one
-//!   semantics contract (`tests/session_proptests.rs`).
+//!   [`engine`] pass with per-lane early exit, runs row-shaped queries at
+//!   or above the crossover on the density-selected full-width engine,
+//!   and serves target queries straight from a live [`delta`] cursor
+//!   log; the `T_reach` and connectivity probes share its lane-pass core,
+//!   so point and all-pairs code answer from one semantics contract
+//!   (`tests/session_proptests.rs`).
 //! * In-place reuse: [`LabelAssignment::refill_edge_major`] (one bulk
 //!   write of every draw, then a per-edge sort and dedup) /
 //!   [`LabelAssignment::refill_with`] redraw labels into existing buffers
@@ -91,7 +94,7 @@
 //!   `T_reach` never changes with the labels:
 //!   [`reachability::StaticReach`] is built once per substrate and shared
 //!   across trials.
-//! * [`kernels`]: the single explicit word-kernel layer all three sweep
+//! * [`kernels`]: the single explicit word-kernel layer the sweep
 //!   engines route their inner loops through — unrolled-chunk OR/ANDN
 //!   accumulate/commit, popcounts, branch-light (and galloping)
 //!   sorted-`u32` merges, and the 64-byte-aligned slab types backing
@@ -108,7 +111,7 @@
 //!   memory pressure — a word budget
 //!   ([`sparse::SparseSweeper::set_arena_budget_words`]) forces arena
 //!   evacuations and a tight closure byte budget shrinks row blocks,
-//!   both counted in [`wide::WideStats::degraded`] with arrivals
+//!   both counted in [`engine::SweepStats::degraded`] with arrivals
 //!   guaranteed unchanged.
 //! * [`reference`](mod@reference): the sort-based foremost used for
 //!   differential testing.

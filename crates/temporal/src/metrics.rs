@@ -5,23 +5,20 @@
 //! analogue of static network efficiency,
 //! `E = (1/(n(n−1))) · Σ_{s≠t} 1/δ(s,t)` with `1/∞ = 0`, as used in the
 //! temporal small-world literature the paper's related-work section
-//! surveys. Below the batch crossover the metrics run one scalar foremost
-//! sweep per source (parallel over sources); above it they run through
-//! the full-width engine the density-aware
-//! [`EngineChoice`] selects —
-//! [`wide`](crate::wide) on dense instances, event-driven
+//! surveys. The metrics run through the full-width engine the
+//! density-aware [`EngineChoice`] selects — [`wide`](crate::wide) below
+//! the crossover and on dense instances, event-driven
 //! [`sparse`](crate::sparse) on sparse ones — accumulating each source's
-//! row in vertex order so every number — including the floating-point
-//! sums — is bit-identical to the scalar path and invariant under the
-//! thread count.
+//! row in vertex order and the sources in source order, so every number
+//! — including the floating-point sums — is bit-identical to a scalar
+//! per-source fold and invariant under the thread count.
 
-use crate::foremost::foremost;
 use crate::network::TemporalNetwork;
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{source_blocks, FrontierEngine};
 use crate::{Time, NEVER};
 use ephemeral_graph::NodeId;
-use ephemeral_parallel::{par_for, par_map_with};
+use ephemeral_parallel::par_map_with;
 use std::ops::Range;
 
 /// All-pairs summary metrics of one temporal network instance.
@@ -68,9 +65,9 @@ fn metric_blocks<S: FrontierEngine>(
     .collect()
 }
 
-/// Per-source accumulation of one arrival row, in vertex order — shared
-/// by the scalar and full-width paths so their floating-point sums agree
-/// bit for bit.
+/// Per-source accumulation of one arrival row, in vertex order — the
+/// same fold a scalar per-source loop applies, so the floating-point sums
+/// agree with it bit for bit.
 fn accumulate_row(s: usize, arrivals: &[Time]) -> (usize, u64, u32, f64) {
     let mut reach = 0usize;
     let mut sum = 0u64;
@@ -89,9 +86,8 @@ fn accumulate_row(s: usize, arrivals: &[Time]) -> (usize, u64, u32, f64) {
     (reach, sum, max, eff)
 }
 
-/// Compute the metrics: one parallel foremost sweep per source below the
-/// batch crossover, full-width sweeps (one per column block, wide or
-/// sparse per the density dispatch) above it.
+/// Compute the metrics: full-width sweeps, one per column block, wide or
+/// sparse per the density dispatch.
 #[must_use]
 pub fn temporal_metrics(tn: &TemporalNetwork, threads: usize) -> TemporalMetrics {
     let n = tn.num_nodes();
@@ -116,12 +112,7 @@ pub fn temporal_metrics(tn: &TemporalNetwork, threads: usize) -> TemporalMetrics
             metric_blocks::<S>(self.tn, self.threads, &blocks)
         }
     }
-    let per_source =
-        EngineChoice::dispatch(tn, threads, Metrics { tn, threads }).unwrap_or_else(|| {
-            par_for(n, threads, |s| {
-                accumulate_row(s, foremost(tn, s as NodeId, 0).arrivals())
-            })
-        });
+    let per_source = EngineChoice::run(tn, threads, Metrics { tn, threads });
     let mut reachable_pairs = 0usize;
     let mut sum = 0u64;
     let mut max = 0u32;
@@ -216,40 +207,42 @@ mod tests {
 
     #[test]
     fn wide_path_is_bit_identical_to_the_scalar_fold() {
-        // Above the crossover the wide engine serves the metrics; every
-        // number — floating-point sums included — must match a scalar
-        // per-source fold exactly, for any thread count.
+        // The wide engine serves the metrics below the crossover (n = 40,
+        // 130) and on this density above it; every number — floating-point
+        // sums included — must match a scalar per-source fold exactly, for
+        // any thread count.
         use crate::foremost::foremost;
         use ephemeral_rng::{RandomSource, SeedSequence};
-        let n = crate::wide::WIDE_CROSSOVER + 8;
-        let mut rng = SeedSequence::new(3).rng(1);
-        let g = generators::gnp(n, 0.05, false, &mut rng);
-        let labels =
-            LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 50)]).unwrap();
-        let tn = TemporalNetwork::new(g, labels, 50).unwrap();
-        let wide = temporal_metrics(&tn, 1);
-        assert_eq!(wide, temporal_metrics(&tn, 4));
-        let mut reach = 0usize;
-        let mut sum = 0u64;
-        let mut max = 0u32;
-        let mut eff = 0.0f64;
-        for s in 0..n {
-            let (r, su, m, e) = {
-                let run = foremost(&tn, s as u32, 0);
-                super::accumulate_row(s, run.arrivals())
-            };
-            reach += r;
-            sum += su;
-            max = max.max(m);
-            eff += e;
+        for n in [40, 130, crate::wide::WIDE_CROSSOVER + 8] {
+            let mut rng = SeedSequence::new(3).rng(1);
+            let g = generators::gnp(n, 0.05, false, &mut rng);
+            let labels =
+                LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 50)]).unwrap();
+            let tn = TemporalNetwork::new(g, labels, 50).unwrap();
+            let wide = temporal_metrics(&tn, 1);
+            assert_eq!(wide, temporal_metrics(&tn, 4), "n {n}");
+            let mut reach = 0usize;
+            let mut sum = 0u64;
+            let mut max = 0u32;
+            let mut eff = 0.0f64;
+            for s in 0..n {
+                let (r, su, m, e) = {
+                    let run = foremost(&tn, s as u32, 0);
+                    super::accumulate_row(s, run.arrivals())
+                };
+                reach += r;
+                sum += su;
+                max = max.max(m);
+                eff += e;
+            }
+            assert_eq!(wide.reachable_pairs, reach, "n {n}");
+            assert_eq!(wide.max_temporal_distance, max, "n {n}");
+            let pairs = (n * (n - 1)) as f64;
+            assert_eq!(wide.temporal_efficiency.to_bits(), (eff / pairs).to_bits());
+            assert_eq!(
+                wide.avg_temporal_distance.to_bits(),
+                (sum as f64 / reach as f64).to_bits()
+            );
         }
-        assert_eq!(wide.reachable_pairs, reach);
-        assert_eq!(wide.max_temporal_distance, max);
-        let pairs = (n * (n - 1)) as f64;
-        assert_eq!(wide.temporal_efficiency.to_bits(), (eff / pairs).to_bits());
-        assert_eq!(
-            wide.avg_temporal_distance.to_bits(),
-            (sum as f64 / reach as f64).to_bits()
-        );
     }
 }

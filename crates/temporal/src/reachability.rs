@@ -5,27 +5,24 @@
 //! `(u, v)`-journey exists in `(G, L)`. Journeys are paths, so only the
 //! forward implication can fail; the check therefore compares per-source
 //! reach *counts* of static BFS and the temporal sweep. The whole-network
-//! checks dispatch through the density-aware
-//! [`EngineChoice`]: below the batch
-//! crossover they run 64 sources per pass through the bit-parallel
-//! [`engine`](crate::engine) with early exit at batch granularity; above
-//! it they probe the first 64-lane column block (failing instances almost
-//! always fail there, as cheaply as one batch) and only then sweep the
-//! remaining blocks through the full-width engine the density selected —
-//! [`wide`](crate::wide) on dense instances, event-driven
-//! [`sparse`](crate::sparse) on sparse ones. The single-source helpers
-//! stay on the scalar `foremost` oracle.
+//! checks probe the first 64 sources with one lane pass of the
+//! bit-parallel [`engine`](crate::engine) (failing instances almost
+//! always fail there) and only then sweep the remaining column blocks
+//! through the full-width engine the density-aware [`EngineChoice`]
+//! selected — [`wide`](crate::wide) below the crossover and on dense
+//! instances, event-driven [`sparse`](crate::sparse) on sparse ones. The
+//! single-source helpers stay on the scalar `foremost` oracle.
 
-use crate::engine::{batch_count, batch_range, BatchSweeper};
+use crate::engine::{BatchSweeper, MAX_LANES};
 use crate::foremost::foremost;
 use crate::network::TemporalNetwork;
 use crate::session::{block_all_reached, reach_counts};
 use crate::sparse::{EngineChoice, FrontierRun};
-use crate::wide::{probe_blocks, EngineKind, FrontierEngine, SweepScratch};
+use crate::wide::{probe_blocks, word_blocks, EngineKind, FrontierEngine, SweepScratch};
 use crate::{Time, NEVER};
 use ephemeral_graph::algo::{bfs_distances, connected_components, Components, UNREACHABLE};
 use ephemeral_graph::{Graph, NodeId};
-use ephemeral_parallel::{par_for_with, par_map_with};
+use ephemeral_parallel::par_map_with;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Which vertices admit a journey from `source` (the source included).
@@ -40,12 +37,10 @@ pub fn temporal_reach(tn: &TemporalNetwork, source: NodeId) -> Vec<bool> {
 
 /// Is every ordered pair `(s, t)` connected by a journey? (The clique with
 /// one label per edge trivially satisfies this; most sparse networks do
-/// not.) Below the batch crossover: one engine sweep per batch of 64
-/// sources, with early exit at batch granularity. Above it: a probe sweep
-/// of the first 64-lane column block (a disconnected instance almost
-/// always has an unreached pair among any 64+ sources), then the
-/// remaining blocks sweep in parallel through the density-selected
-/// full-width engine.
+/// not.) A lane pass over the first 64 sources probes first (a
+/// disconnected instance almost always has an unreached pair among any
+/// 64+ sources), then the remaining column blocks sweep in parallel
+/// through the density-selected full-width engine.
 #[must_use]
 pub fn is_temporally_connected(tn: &TemporalNetwork, threads: usize) -> bool {
     let n = tn.num_nodes();
@@ -63,19 +58,7 @@ pub fn is_temporally_connected(tn: &TemporalNetwork, threads: usize) -> bool {
             frontier_connected::<S>(self.tn, self.threads, probe, &rest)
         }
     }
-    if let Some(connected) = EngineChoice::dispatch(tn, threads, Connected { tn, threads }) {
-        return connected;
-    }
-    let failed = AtomicBool::new(false);
-    par_for_with(batch_count(n), threads, BatchSweeper::new, |sweeper, b| {
-        if failed.load(Ordering::Relaxed) {
-            return;
-        }
-        if !block_all_reached(tn, sweeper, batch_range(n, b)) {
-            failed.store(true, Ordering::Relaxed);
-        }
-    });
-    !failed.load(Ordering::Relaxed)
+    EngineChoice::run(tn, threads, Connected { tn, threads })
 }
 
 /// Probe-first whole-network connectivity over engine `S`. The 64-lane
@@ -105,22 +88,23 @@ fn frontier_connected<S: FrontierEngine>(
     !failed.load(Ordering::Relaxed)
 }
 
-/// Per-lane temporal reach counts of one full-width block: each source
-/// counts itself plus one per newly-reached vertex (integer accumulation,
-/// so the commit order cannot affect the result).
+/// Per-lane temporal reach counts of one full-width block into `counts`:
+/// each source counts itself plus one per newly-reached vertex (integer
+/// accumulation, so the commit order cannot affect the result).
 fn wide_reach_counts<S: FrontierEngine>(
     tn: &TemporalNetwork,
     sweeper: &mut S,
     block: std::ops::Range<NodeId>,
-) -> Vec<usize> {
-    let mut counts = vec![1usize; block.len()];
+    counts: &mut Vec<usize>,
+) {
+    counts.clear();
+    counts.resize(block.len(), 1);
     sweeper.sweep(tn, block, 0, |_, w, mut fresh, _: Time| {
         while fresh != 0 {
             counts[w * 64 + fresh.trailing_zeros() as usize] += 1;
             fresh &= fresh - 1;
         }
     });
-    counts
 }
 
 /// The static side of `T_reach` (Definition 6) for one substrate graph:
@@ -221,12 +205,11 @@ impl StaticReach {
 /// of counts suffices. The static counts come from a [`StaticReach`] built
 /// for this call; callers that check many assignments of one graph share
 /// one through [`treach_holds_scratch_with`] instead.
-/// Temporal counts dispatch through the density-aware [`EngineChoice`]:
-/// engine batches of 64 sources with early exit below the crossover;
-/// above it, a 64-lane probe block first (a violating instance almost
-/// always exposes a short-counted source among any 64), then the
-/// remaining column blocks in parallel through the full-width engine the
-/// density selected.
+/// Temporal counts come from a lane pass over the first 64 sources first
+/// (a violating instance almost always exposes a short-counted source
+/// among any 64), then from the remaining column blocks in parallel
+/// through the full-width engine the density-aware [`EngineChoice`]
+/// selected.
 #[must_use]
 pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
     let n = tn.num_nodes();
@@ -251,22 +234,7 @@ pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
         threads,
         oracle: &oracle,
     };
-    if let Some(holds) = EngineChoice::dispatch(tn, threads, run) {
-        return holds;
-    }
-    let failed = AtomicBool::new(false);
-    par_for_with(batch_count(n), threads, BatchSweeper::new, |sweeper, b| {
-        if failed.load(Ordering::Relaxed) {
-            return;
-        }
-        let batch = batch_range(n, b);
-        let (base, width) = (batch.start, batch.len());
-        let temporal = reach_counts(tn, sweeper, batch);
-        if !oracle.lanes_match(tn.graph(), base, &temporal[..width]) {
-            failed.store(true, Ordering::Relaxed);
-        }
-    });
-    !failed.load(Ordering::Relaxed)
+    EngineChoice::run(tn, threads, run)
 }
 
 /// Probe-first whole-network `T_reach` over engine `S`. As with
@@ -286,12 +254,13 @@ fn frontier_treach<S: FrontierEngine>(
         return false;
     }
     let failed = AtomicBool::new(false);
-    par_map_with(rest, threads, S::default, |sweeper, _, block| {
+    let init = || (S::default(), Vec::new());
+    par_map_with(rest, threads, init, |(sweeper, counts), _, block| {
         if failed.load(Ordering::Relaxed) {
             return;
         }
-        let counts = wide_reach_counts(tn, sweeper, block.clone());
-        if !oracle.lanes_match(tn.graph(), block.start, &counts) {
+        wide_reach_counts(tn, sweeper, block.clone(), counts);
+        if !oracle.lanes_match(tn.graph(), block.start, counts) {
             failed.store(true, Ordering::Relaxed);
         }
     });
@@ -300,10 +269,10 @@ fn frontier_treach<S: FrontierEngine>(
 
 /// Sequential [`treach_holds`] reusing a caller-owned [`SweepScratch`],
 /// which would otherwise rebuild a full-width engine's `n × ⌈n/64⌉`
-/// frontier matrices on every call above the crossover. The static counts
-/// come from a [`StaticReach`] built for this call; the Monte Carlo
-/// estimators, which check many assignments of one graph, share one
-/// oracle per substrate through [`treach_holds_scratch_with`] instead.
+/// frontier matrices on every call. The static counts come from a
+/// [`StaticReach`] built for this call; the Monte Carlo estimators, which
+/// check many assignments of one graph, share one oracle per substrate
+/// through [`treach_holds_scratch_with`] instead.
 /// Same dispatch and early exits as `treach_holds(tn, 1)`, same answer.
 #[must_use]
 pub fn treach_holds_scratch(tn: &TemporalNetwork, scratch: &mut SweepScratch) -> bool {
@@ -327,14 +296,13 @@ pub fn treach_holds_scratch_traced(
 /// and shared by every trial and worker, and `scratch` keeps the sweep
 /// buffers warm, so a warm trial allocates nothing. Also reports the
 /// engine that **actually answered** — the attribution `experiments
-/// sweep` rows carry. Above the batch crossover the check probes the
-/// first 64-lane column block before committing to a full-width sweep;
-/// when that probe alone decides the answer (the overwhelmingly common
-/// case on failing instances), the work done was one single-word sweep —
-/// exactly a batched pass — and the attribution is [`EngineKind::Batch`],
-/// not the engine the density dispatch *would* have used for the
-/// remaining blocks. Only runs that sweep a full-width block report
-/// [`EngineKind::Wide`] / [`EngineKind::Sparse`].
+/// sweep` rows carry. The check probes the first 64 sources with one
+/// lane pass before committing to a full-width sweep; when that probe
+/// alone decides the answer (the overwhelmingly common case on failing
+/// instances, and every case at `n ≤ 64`, where no block remains), the
+/// attribution is [`EngineKind::Batch`], not the engine the density
+/// dispatch picked for the remaining blocks. Only runs that sweep a
+/// full-width block report [`EngineKind::Wide`] / [`EngineKind::Sparse`].
 #[must_use]
 pub fn treach_holds_scratch_with(
     tn: &TemporalNetwork,
@@ -353,55 +321,53 @@ pub fn treach_holds_scratch_with(
     impl FrontierRun for TreachScratch<'_> {
         type Out = (bool, EngineKind);
         fn run<S: FrontierEngine>(self, shards: usize) -> Self::Out {
-            let (probe, rest) = probe_blocks(self.tn.num_nodes(), shards);
-            frontier_treach_scratch::<S>(self.tn, self.scratch, self.oracle, probe, rest)
+            frontier_treach_scratch::<S>(self.tn, self.scratch, self.oracle, shards)
         }
     }
-    let run = TreachScratch {
+    EngineChoice::run(
         tn,
-        scratch: &mut *scratch,
-        oracle,
-    };
-    EngineChoice::dispatch(tn, 1, run).unwrap_or_else(|| {
-        for b in 0..batch_count(n) {
-            let batch = batch_range(n, b);
-            let (base, width) = (batch.start, batch.len());
-            let temporal = reach_counts(tn, &mut scratch.batch, batch);
-            if !oracle.lanes_match(tn.graph(), base, &temporal[..width]) {
-                return (false, EngineKind::Batch);
-            }
-        }
-        (true, EngineKind::Batch)
-    })
+        1,
+        TreachScratch {
+            tn,
+            scratch,
+            oracle,
+        },
+    )
 }
 
 /// Sequential probe-first `T_reach` over engine `S`, reporting whether the
-/// 64-lane probe alone answered (attributed as a batched pass) or a
+/// 64-lane probe alone answered (attributed as a lane pass) or a
 /// full-width block had to sweep. The probe runs through the shared
 /// lane-pass core of [`session`](crate::session) on the scratch bundle's
-/// batched engine — the probe *is* a batched pass, so the attribution is
-/// literal — and only the remaining blocks fetch the full-width engine.
+/// lane-pass sweeper, and only the remaining blocks (walked lazily, as
+/// [`word_blocks`] yields them) fetch the full-width engine and the
+/// scratch bundle's per-lane count buffer — a warm check allocates
+/// nothing.
 fn frontier_treach_scratch<S: FrontierEngine>(
     tn: &TemporalNetwork,
     scratch: &mut SweepScratch,
     oracle: &StaticReach,
-    probe: std::ops::Range<NodeId>,
-    rest: Vec<std::ops::Range<NodeId>>,
+    shards: usize,
 ) -> (bool, EngineKind) {
-    let (base, width) = (probe.start, probe.len());
-    let counts = reach_counts(tn, &mut scratch.batch, probe);
-    if !oracle.lanes_match(tn.graph(), base, &counts[..width]) {
+    let n = tn.num_nodes();
+    let width = n.min(MAX_LANES);
+    let counts = reach_counts(tn, &mut scratch.batch, 0..width as NodeId);
+    if !oracle.lanes_match(tn.graph(), 0, &counts[..width]) {
         return (false, EngineKind::Batch);
     }
+    let mut counts = std::mem::take(&mut scratch.lane_counts);
     let sweeper = S::from_scratch(scratch);
-    for block in rest {
+    let mut answer = (true, EngineKind::Batch);
+    for block in word_blocks(1, n, shards) {
         let base = block.start;
-        let counts = wide_reach_counts(tn, sweeper, block);
-        if !oracle.lanes_match(tn.graph(), base, &counts) {
-            return (false, S::kind());
+        wide_reach_counts(tn, sweeper, block, &mut counts);
+        answer = (oracle.lanes_match(tn.graph(), base, &counts), S::kind());
+        if !answer.0 {
+            break;
         }
     }
-    (true, S::kind())
+    scratch.lane_counts = counts;
+    answer
 }
 
 #[cfg(test)]
@@ -476,7 +442,7 @@ mod tests {
         use ephemeral_rng::{RandomSource, SeedSequence};
         for seed in 0..4u64 {
             let mut rng = SeedSequence::new(seed).rng(9);
-            let n = 70; // two engine batches
+            let n = 70; // the probe plus one wide block
             let g = generators::gnp(n, 0.08, false, &mut rng);
             let labels =
                 LabelAssignment::from_fn(g.num_edges(), |_| vec![rng.range_u32(1, 32)]).unwrap();
@@ -544,10 +510,10 @@ mod tests {
         use ephemeral_rng::{RandomSource, SeedSequence};
         let mut scratch = SweepScratch::new();
         for (seed, n, r) in [
-            (1u64, 48usize, 1usize),     // batch regime, usually failing
-            (2, 48, 32),                 // batch regime, usually holding
-            (3, WIDE_CROSSOVER + 5, 1),  // wide regime, failing
-            (4, WIDE_CROSSOVER + 5, 32), // wide regime, holding
+            (1u64, 48usize, 1usize),     // probe alone, usually failing
+            (2, 48, 32),                 // probe alone, usually holding
+            (3, WIDE_CROSSOVER + 5, 1),  // probe, then blocks: failing
+            (4, WIDE_CROSSOVER + 5, 32), // probe, then blocks: holding
         ] {
             let mut rng = SeedSequence::new(seed).rng(2);
             let g = generators::gnp(n, 0.1, false, &mut rng);

@@ -1,7 +1,7 @@
 //! Point-query sessions: the lane-allocating query layer over the sweep
 //! engines.
 //!
-//! Every engine in this crate answers all-pairs questions; the paper's
+//! The full-width engines answer all-pairs questions; the paper's
 //! objects — foremost arrival `δ(u, v)`, "can `u` reach `v` by `t`",
 //! one source's distance row — are *point* questions. A
 //! [`QuerySession`] pins one instance arena-resident (the network's
@@ -11,9 +11,10 @@
 //! [`MAX_LANES`] [`PointQuery`]s by packing them as lanes of a single
 //! [`BatchSweeper::sweep_lanes`] pass with per-lane early exit — a lane
 //! retires the moment its target bit commits, the pass retires when all
-//! lanes are done. Row-shaped queries above the batch crossover fall
-//! back to whichever full-width engine the density-aware
-//! [`EngineChoice`] selects, exactly like the all-pairs entry points.
+//! lanes are done. Row-shaped queries at or above
+//! [`WIDE_CROSSOVER`] run instead on whichever full-width engine the
+//! density-aware [`EngineChoice`] selects, exactly like the all-pairs
+//! entry points.
 //!
 //! When the session carries a live cursor (after
 //! [`QuerySession::record_cursor`] or a [`QuerySession::move_label`]),
@@ -23,20 +24,19 @@
 //! the foremost arrival straight out of
 //! them — bit-identical to a cold sweep after any move sequence.
 //!
-//! The lane-pass core is shared, not copied: the probe blocks and
-//! batched fallbacks of [`reachability`](crate::reachability) and
-//! [`closure`](crate::closure) route through [`reach_counts`],
-//! [`block_all_reached`] and [`closure_rows_into`] below, so point and
-//! all-pairs code answer from one semantics contract
+//! The lane-pass core is shared, not copied: the `T_reach` and
+//! connectivity probes of [`reachability`](crate::reachability) route
+//! through [`reach_counts`] and [`block_all_reached`] below, so point
+//! and all-pairs code answer from one semantics contract
 //! (`tests/session_proptests.rs` pins both against the scalar
 //! [`foremost`](crate::foremost::foremost) oracle).
 
 use crate::delta::DeltaApply;
-use crate::engine::{BatchSweeper, Lane, LaneStats, MAX_LANES};
+use crate::engine::{BatchSweeper, Lane, SweepStats, MAX_LANES};
 use crate::network::TemporalNetwork;
 use crate::reachability::{treach_holds_scratch_with, StaticReach};
 use crate::sparse::{EngineChoice, FrontierRun};
-use crate::wide::{EngineKind, FrontierEngine, SweepScratch, WideStats};
+use crate::wide::{EngineKind, FrontierEngine, SweepScratch, WIDE_CROSSOVER};
 use crate::{LabelAssignment, TemporalError, Time, NEVER};
 use ephemeral_graph::algo::{connected_components, Components};
 use ephemeral_graph::{EdgeId, NodeId};
@@ -227,7 +227,7 @@ impl QuerySession {
         let network = 12 * self.tn.num_time_edges()
             + 8 * self.tn.lifetime() as usize
             + 16 * self.tn.graph().num_edges();
-        // Batched engine: before/delta/tmask words plus the touched list.
+        // Lane pass: before/delta/tmask words plus the touched list.
         let engines = 28 * n;
         // Cursor: closure rows plus 16 bytes per logged commit entry.
         let cursor = if self.cursor_live {
@@ -266,8 +266,8 @@ impl QuerySession {
     /// Target queries hit the live cursor log when there is one;
     /// everything else packs as lanes of a single
     /// [`BatchSweeper::sweep_lanes`] walk over the occupied buckets,
-    /// except row queries above the batch crossover, which dispatch
-    /// through [`EngineChoice`] to the full-width engine the density
+    /// except row queries at or above [`WIDE_CROSSOVER`], which run
+    /// through [`EngineChoice::run`] on the full-width engine the density
     /// selects — the same dispatch the all-pairs entry points use, so
     /// every path answers from one semantics contract.
     ///
@@ -280,7 +280,10 @@ impl QuerySession {
         );
         out.clear();
         self.stats.batches += 1;
-        let batch_regime = EngineChoice::pick_for(&self.tn) == EngineKind::Batch;
+        let n = self.tn.num_nodes();
+        // Below the crossover a row rides the lane pass with the point
+        // queries; at and above it a full-width engine serves it.
+        let rows_ride_lanes = n < WIDE_CROSSOVER;
         let mut tmp: [Option<PointAnswer>; MAX_LANES] = std::array::from_fn(|_| None);
         // (query slot, source, horizon) of rows the full-width engines
         // will serve after the lane pass.
@@ -290,7 +293,6 @@ impl QuerySession {
         let mut rows: Vec<Vec<Time>> = Vec::new();
         self.lanes.clear();
         self.lane_slots.clear();
-        let n = self.tn.num_nodes();
         // Materialise the static component index on first use: union–find
         // over the (immutable) graph, one pass per session lifetime. A
         // cross-component target can never be reached — answer it here —
@@ -341,7 +343,7 @@ impl QuerySession {
                 }
                 PointQuery::DistanceRow { u, horizon } => {
                     self.stats.row_queries += 1;
-                    if batch_regime {
+                    if rows_ride_lanes {
                         row_of_lane[self.lanes.len()] = rows.len();
                         let mut row = vec![NEVER; n];
                         row[u as usize] = 0;
@@ -360,7 +362,7 @@ impl QuerySession {
             self.lane_arrivals.clear();
             self.lane_arrivals.resize(self.lanes.len(), NEVER);
             let rows_ref = &mut rows;
-            let lane_stats: LaneStats = self.scratch.batch.sweep_lanes(
+            let lane_stats = self.scratch.batch.sweep_lanes(
                 &self.tn,
                 &self.lanes,
                 0,
@@ -408,8 +410,7 @@ impl QuerySession {
                 horizon,
                 out: &mut row,
             };
-            EngineChoice::dispatch(&self.tn, 1, run)
-                .expect("row dispatch only runs above the batch crossover");
+            EngineChoice::run(&self.tn, 1, run);
             tmp[slot] = Some(PointAnswer::DistanceRow(row));
         }
         for answer in tmp.iter_mut().take(queries.len()) {
@@ -421,7 +422,7 @@ impl QuerySession {
     /// network through whichever engine the density dispatch selects;
     /// subsequent target queries answer from the cursor log with no
     /// sweep, and [`QuerySession::move_label`] maintains it in place.
-    pub fn record_cursor(&mut self) -> (WideStats, EngineKind) {
+    pub fn record_cursor(&mut self) -> (SweepStats, EngineKind) {
         let recorded = self.scratch.record_delta(&self.tn);
         self.cursor_live = true;
         recorded
@@ -495,8 +496,9 @@ impl QuerySession {
 }
 
 /// Row query served by a dispatched full-width engine (one source, the
-/// engine's own horizon semantics) — the `EngineChoice` fallback of
-/// [`QuerySession::answer_batch_into`].
+/// engine's own horizon semantics) — how
+/// [`QuerySession::answer_batch_into`] answers rows at or above
+/// [`WIDE_CROSSOVER`].
 struct RowSweep<'a> {
     tn: &'a TemporalNetwork,
     scratch: &'a mut SweepScratch,
@@ -526,8 +528,8 @@ impl FrontierRun for RowSweep<'_> {
 
 /// Per-lane temporal reach counts of one contiguous source block (each
 /// source counts itself), computed by a single lane pass with per-lane
-/// saturation exit — the shared core of the `T_reach` probes and
-/// batched fallbacks in [`reachability`](crate::reachability).
+/// saturation exit — the shared core of the `T_reach` probes in
+/// [`reachability`](crate::reachability).
 /// Allocation-free once the sweeper is warm.
 ///
 /// # Panics
@@ -562,7 +564,7 @@ pub fn reach_counts(
 }
 
 /// Did every source of `block` reach all `n` vertices? One lane pass
-/// with per-lane saturation exit — the batched fallback core of
+/// with per-lane saturation exit — the probe of
 /// [`is_temporally_connected`](crate::reachability::is_temporally_connected).
 ///
 /// # Panics
@@ -582,41 +584,6 @@ pub fn block_all_reached(
     }
     let stats = sweeper.sweep_lanes(tn, &lanes[..width], 0, &mut arrivals[..width], |_, _, _| {});
     stats.reached_bits == width * n
-}
-
-/// Closure rows of one contiguous source block via a single lane pass:
-/// `rows` is resized to `block.len() × ⌈n/64⌉` words and filled with
-/// bit `(i, v)` set iff `block.start + i` reaches `v` — the batched
-/// fallback core of
-/// [`ReachabilityMatrix::compute`](crate::closure::ReachabilityMatrix::compute).
-///
-/// # Panics
-/// As [`reach_counts`].
-pub fn closure_rows_into(
-    tn: &TemporalNetwork,
-    sweeper: &mut BatchSweeper,
-    block: Range<NodeId>,
-    rows: &mut Vec<u64>,
-) {
-    let n = tn.num_nodes();
-    let words_per_row = n.div_ceil(64);
-    let width = block.len();
-    let mut arrivals = [NEVER; MAX_LANES];
-    let mut lanes = [Lane::row(0, NEVER); MAX_LANES];
-    for (i, s) in block.enumerate() {
-        lanes[i].source = s;
-    }
-    rows.clear();
-    rows.resize(width * words_per_row, 0);
-    sweeper.sweep_lanes(tn, &lanes[..width], 0, &mut arrivals[..width], |_, _, _| {});
-    for v in 0..n {
-        let mut reaching = sweeper.lanes_reaching(v as NodeId);
-        while reaching != 0 {
-            let lane = reaching.trailing_zeros() as usize;
-            reaching &= reaching - 1;
-            rows[lane * words_per_row + v / 64] |= 1 << (v % 64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -791,16 +758,6 @@ mod tests {
             all,
             (0..64).all(|s| foremost(&tn, s, 0).reached_count() == 70)
         );
-        let mut rows = Vec::new();
-        closure_rows_into(&tn, &mut sweeper, 64..70, &mut rows);
-        let wpr = 70usize.div_ceil(64);
-        for (i, s) in (64..70u32).enumerate() {
-            let run = foremost(&tn, s, 0);
-            for v in 0..70usize {
-                let bit = rows[i * wpr + v / 64] >> (v % 64) & 1 == 1;
-                assert_eq!(bit, run.arrival(v as NodeId).is_some(), "{s} -> {v}");
-            }
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!   [`SparseSweeper::set_compaction_floor`] floor), the
 //!   engine **evacuates live regions between buckets** — sorted layout
 //!   and intra-shard sharing preserved, accounted in
-//!   [`WideStats::arena_hiwater_words`] / [`WideStats::compactions`].
+//!   [`SweepStats::arena_hiwater_words`] / [`SweepStats::compactions`].
 //!
 //! The `n × ⌈n/64⌉` closure matrix consumers read through
 //! [`SparseSweeper::reach_word`] is never built whole: a **streaming
@@ -74,33 +74,33 @@
 //! walk.
 //!
 //! Per-(source, target) arrival times are **bit-identical** to the wide
-//! engine, the batched engine and `n` scalar
-//! [`foremost`](crate::foremost::foremost) sweeps
-//! (`tests/sparse_proptests.rs` pins all three, plus horizons, start
-//! times, ragged `n` and block sharding).
+//! engine and `n` scalar [`foremost`](crate::foremost::foremost) sweeps
+//! (`tests/sparse_proptests.rs` pins both, plus horizons, start times,
+//! ragged `n` and block sharding).
 //!
 //! ## Engine choice
 //!
-//! [`EngineChoice::pick`] replaces the old `n`-only `WIDE_CROSSOVER`
-//! dispatch at every all-source entry point: below the crossover the
-//! 64-lane batched engine still wins; above it the *density* of the
-//! occupied buckets decides — instances whose occupied buckets carry at
-//! least `n / 16` time-edges on average (cliques, complete bipartite
-//! substrates: saturation plausible, branch-free inner loop worth it)
-//! keep the wide engine, everything sparser goes event-driven.
+//! [`EngineChoice::pick`] is the dispatch of every all-source entry
+//! point, and it always names a full-width engine: below
+//! [`WIDE_CROSSOVER`] the wide engine, whatever the density; at and
+//! above it the *density* of the occupied buckets decides — instances
+//! whose occupied buckets carry at least `n / 16` time-edges on average
+//! (cliques, complete bipartite substrates: saturation plausible,
+//! branch-free inner loop worth it) keep the wide engine, everything
+//! sparser goes event-driven.
 //! [`EngineChoice::pick_parallel`] extends the model with the worker
 //! count: the wide engine's column blocks parallelise its `n × W` fill,
 //! while the event-driven shards each repeat the bucket walk, so the
 //! crossover shifts wide-ward as workers grow (pinned by
 //! `parallel_dispatch_crossover_pins_the_worker_count`).
 
+use crate::engine::SweepStats;
 use crate::kernels::{
     self, emit, merge_dual_emitting, merge_into_emitting, AlignedLanes, AlignedSlab,
 };
 use crate::network::TemporalNetwork;
 use crate::wide::{
-    cache_block_count, EngineKind, FrontierEngine, SweepScratch, WideStats, WideSweeper,
-    WIDE_CROSSOVER,
+    cache_block_count, EngineKind, FrontierEngine, SweepScratch, WideSweeper, WIDE_CROSSOVER,
 };
 use crate::Time;
 use ephemeral_graph::NodeId;
@@ -137,20 +137,21 @@ pub struct EngineChoice;
 impl EngineChoice {
     /// Pick the engine for an `n`-vertex instance with
     /// `occupied_buckets` non-empty time buckets and `time_edges` labels:
-    /// [`EngineKind::Batch`] below [`WIDE_CROSSOVER`] (the wide matrix is
-    /// a few words per vertex there and the batched frontier wins
-    /// regardless of density); above it [`EngineKind::Sparse`] only for
-    /// genuinely sparse instances — diffuse buckets (average fill below
+    /// [`EngineKind::Wide`] below [`WIDE_CROSSOVER`] (the wide matrix is
+    /// at most three words per vertex there, whatever the density); at
+    /// and above it [`EngineKind::Sparse`] only for genuinely sparse
+    /// instances — diffuse buckets (average fill below
     /// `n /` [`DENSE_BUCKET_DIVISOR`]) *and* constant-ish average degree
     /// (at most [`SPARSE_EDGE_FACTOR`] time-edges per vertex, keeping the
-    /// reacher lists short) — and [`EngineKind::Wide`] otherwise.
+    /// reacher lists short) — and [`EngineKind::Wide`] otherwise. It
+    /// never returns [`EngineKind::Batch`] or [`EngineKind::Scalar`].
     ///
     /// ```
     /// use ephemeral_temporal::sparse::EngineChoice;
     /// use ephemeral_temporal::wide::EngineKind;
     ///
-    /// // Small n: always batched.
-    /// assert_eq!(EngineChoice::pick(64, 64, 2016), EngineKind::Batch);
+    /// // Small n: always wide.
+    /// assert_eq!(EngineChoice::pick(64, 64, 2016), EngineKind::Wide);
     /// // Dense clique at a = n: every bucket floods a constant fraction.
     /// assert_eq!(EngineChoice::pick(4096, 4096, 16_773_120), EngineKind::Wide);
     /// // Near-threshold G(n, p = 1.5·ln n / n): diffuse buckets but high
@@ -202,7 +203,7 @@ impl EngineChoice {
         workers: usize,
     ) -> EngineKind {
         if n < WIDE_CROSSOVER {
-            return EngineKind::Batch;
+            return EngineKind::Wide;
         }
         let occupied = if occupied_buckets == 0 {
             1
@@ -240,31 +241,36 @@ impl EngineChoice {
         )
     }
 
-    /// The one dispatch wrapper every full-width entry point shares.
+    /// The one dispatch every all-source entry point shares.
     ///
-    /// Above the batch crossover, runs `r` with the engine type
-    /// [`EngineChoice::pick_for_parallel`] selects (the worker count is
-    /// part of the cost model — see [`EngineChoice::pick_parallel`]) and
-    /// that engine's column-shard count: the wide engine shards into
+    /// Runs `r` with the engine type [`EngineChoice::pick_for_parallel`]
+    /// selects (the worker count is part of the cost model — see
+    /// [`EngineChoice::pick_parallel`]) and that engine's column-shard
+    /// count: the wide engine shards into
     /// `workers.max(cache_block_count(n))` blocks so its cache blocking
     /// engages regardless of worker count, the sparse engine only as far
     /// as the workers — each shard runs its own arena and agenda over
-    /// the shared bucket index and visits only its causal cone. Below
-    /// the crossover returns `None` and the caller runs its batched path
-    /// — the 64-lane [`BatchSweeper`](crate::engine::BatchSweeper) is
-    /// not a [`FrontierEngine`].
+    /// the shared bucket index and visits only its causal cone.
     ///
     /// Sequential scratch callers pass `workers = 1` (wide then shards to
     /// exactly its cache schedule, sparse to the single block `0..n`) and
     /// fetch their warm engine inside `run` via
     /// [`FrontierEngine::from_scratch`].
-    pub fn dispatch<R: FrontierRun>(tn: &TemporalNetwork, workers: usize, r: R) -> Option<R::Out> {
+    pub fn run<R: FrontierRun>(tn: &TemporalNetwork, workers: usize, r: R) -> R::Out {
         let n = tn.num_nodes();
         match Self::pick_for_parallel(tn, workers) {
-            EngineKind::Wide => Some(r.run::<WideSweeper>(workers.max(cache_block_count(n)))),
-            EngineKind::Sparse => Some(r.run::<SparseSweeper>(workers)),
-            _ => None,
+            EngineKind::Sparse => r.run::<SparseSweeper>(workers),
+            // `pick_parallel` names only the two full-width engines.
+            _ => r.run::<WideSweeper>(workers.max(cache_block_count(n))),
         }
+    }
+
+    /// [`EngineChoice::run`] wrapped in `Some`; it never returns `None`.
+    /// It stays only because the benchmark harness
+    /// (`perfbench/src/closure.rs`) calls `.unwrap_or` on it, and goes
+    /// with the next benchmark change.
+    pub fn dispatch<R: FrontierRun>(tn: &TemporalNetwork, workers: usize, r: R) -> Option<R::Out> {
+        Some(Self::run(tn, workers, r))
     }
 }
 
@@ -272,8 +278,8 @@ impl EngineChoice {
 /// that used to be copied into every `match EngineChoice::pick_for` arm,
 /// written once. The closure, distance, diameter, connectivity,
 /// `T_reach`, metrics and delta entry points each implement this with
-/// their per-block work; [`EngineChoice::dispatch`] instantiates it with
-/// the engine type and shard count the density dispatch selects.
+/// their per-block work; [`EngineChoice::run`] instantiates it with the
+/// engine type and shard count the density dispatch selects.
 pub trait FrontierRun {
     /// What the computation produces.
     type Out;
@@ -421,7 +427,7 @@ pub struct SparseSweeper {
     arena_hiwater: usize,
     /// Monotone count of degradation events (forced budget compactions +
     /// closure block shrinks) across this sweeper's lifetime — the
-    /// delta-foldable counterpart of the per-sweep [`WideStats::degraded`].
+    /// delta-foldable counterpart of the per-sweep [`SweepStats::degraded`].
     degraded_total: u64,
     /// Lifetime compaction count across every sweep.
     compactions_total: u64,
@@ -440,7 +446,7 @@ pub struct SparseSweeper {
     n: usize,
     /// Vertices per closure row block of the most recent sweep —
     /// [`CLOSURE_BLOCK_ROWS`] unless the byte budget forced a shrink
-    /// (the degradation path; see [`WideStats::degraded`]).
+    /// (the degradation path; see [`SweepStats::degraded`]).
     block_rows: usize,
     /// Arena word budget (`0` = unlimited): exceeding it between buckets
     /// forces a compaction instead of growing on — the degradation path
@@ -589,7 +595,7 @@ impl SparseSweeper {
     /// Cap the region arena at `words` `u32` entries (`0` = unlimited).
     /// Exceeding the cap between buckets forces an evacuation regardless
     /// of the garbage factor — the sweep degrades (more compaction work,
-    /// counted in [`WideStats::degraded`]) instead of aborting under
+    /// counted in [`SweepStats::degraded`]) instead of aborting under
     /// memory pressure. Arrival times are unaffected: compaction never
     /// changes region contents, only their placement.
     pub fn set_arena_budget_words(&mut self, words: usize) {
@@ -605,7 +611,7 @@ impl SparseSweeper {
 
     /// Lifetime arena high-water mark, in words, across every sweep this
     /// sweeper ran (monotone; per-sweep values are on the returned
-    /// [`WideStats::arena_hiwater_words`]).
+    /// [`SweepStats::arena_hiwater_words`]).
     #[must_use]
     pub const fn arena_hiwater_words(&self) -> usize {
         self.arena_hiwater
@@ -613,7 +619,7 @@ impl SparseSweeper {
 
     /// Lifetime compaction count across every sweep this sweeper ran
     /// (monotone; per-sweep counts are on the returned
-    /// [`WideStats::compactions`]).
+    /// [`SweepStats::compactions`]).
     #[must_use]
     pub const fn compactions_total(&self) -> u64 {
         self.compactions_total
@@ -642,7 +648,7 @@ impl SparseSweeper {
         sources: Range<NodeId>,
         start_time: Time,
         on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         self.sweep_with_horizon(tn, sources, start_time, tn.lifetime(), on_reach)
     }
 
@@ -669,7 +675,7 @@ impl SparseSweeper {
         start_time: Time,
         horizon: Time,
         mut on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         let n = tn.num_nodes();
         let lanes = sources.len();
         let width = lanes.div_ceil(64);
@@ -1007,33 +1013,16 @@ impl SparseSweeper {
         self.arena_hiwater = self.arena_hiwater.max(hiwater);
         self.compactions_total += compactions as u64;
         self.degraded_total += degraded as u64;
-        WideStats {
+        SweepStats {
             lanes,
             reached_bits: reached,
             last_arrival,
             buckets_visited,
+            retired_early: 0,
             arena_hiwater_words: hiwater,
             compactions,
             degraded,
         }
-    }
-
-    /// Sweep and record per-pair arrival times into `out`, laid out
-    /// `out[lane · n + v] = δ(sources.start + lane, v)` with [`NEVER`](crate::NEVER)
-    /// marking unreachable pairs and each source reporting its own
-    /// `start_time` — lane for lane the `arrivals()` array of a scalar
-    /// foremost run.
-    ///
-    /// # Panics
-    /// If `out.len() != sources.len() · n`, or as [`SparseSweeper::sweep`].
-    pub fn arrivals_into(
-        &mut self,
-        tn: &TemporalNetwork,
-        sources: Range<NodeId>,
-        start_time: Time,
-        out: &mut [Time],
-    ) -> WideStats {
-        FrontierEngine::arrivals_into(self, tn, sources, start_time, out)
     }
 }
 
@@ -1174,7 +1163,7 @@ impl FrontierEngine for SparseSweeper {
         start_time: Time,
         horizon: Time,
         on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         Self::sweep_with_horizon(self, tn, sources, start_time, horizon, on_reach)
     }
 
@@ -1509,11 +1498,11 @@ mod tests {
 
     #[test]
     fn engine_choice_dispatches_by_density() {
-        // Below the crossover: batch, whatever the density.
-        assert_eq!(EngineChoice::pick(100, 1, 1_000_000), EngineKind::Batch);
+        // Below the crossover: wide, whatever the density.
+        assert_eq!(EngineChoice::pick(100, 1, 1_000_000), EngineKind::Wide);
         assert_eq!(
             EngineChoice::pick(WIDE_CROSSOVER - 1, 1, 0),
-            EngineKind::Batch
+            EngineKind::Wide
         );
         // At the crossover the density decides.
         let n = WIDE_CROSSOVER;

@@ -1,22 +1,22 @@
 //! Wide-frontier closure engine: all `n` sources in a **single**
 //! time-ordered pass over the bucket index.
 //!
-//! [`BatchSweeper`] answers 64 sources per
-//! pass, so an all-pairs question at `n` vertices re-traverses the
-//! time-edge index `⌈n/64⌉` times — and under sparse availability
-//! (lifetime `a = kn`, mostly-empty buckets) each of those passes walks a
-//! long, cold index. [`WideSweeper`] removes both costs:
+//! Answered 64 sources per pass (the lane pass of [`BatchSweeper`]), an
+//! all-pairs question at `n` vertices would re-traverse the time-edge
+//! index `⌈n/64⌉` times — and under sparse availability (lifetime
+//! `a = kn`, mostly-empty buckets) each of those passes walks a long,
+//! cold index. [`WideSweeper`] removes both costs:
 //!
 //! * **Wide frontiers.** Every vertex carries `W = ⌈lanes/64⌉` frontier
 //!   words (a flat `n × W` `u64` matrix, row per vertex), so one pass
 //!   answers every source at once. Per edge the inner loop is `W`
 //!   contiguous word operations — the edge-visit overhead (bucket walk,
-//!   endpoint loads) that dominates the batched engine is paid once
-//!   instead of `⌈n/64⌉` times, and the word loop vectorizes.
+//!   endpoint loads) that dominates a 64-lane pass is paid once instead
+//!   of `⌈n/64⌉` times, and the word loop vectorizes.
 //! * **Saturation early-exit.** The sweep counts set bits and stops the
 //!   moment `reached == lanes · n`: on dense instances the pass visits
 //!   `O(instance diameter)` buckets instead of all `a`
-//!   ([`WideStats::buckets_visited`] makes this observable).
+//!   ([`SweepStats::buckets_visited`] makes this observable).
 //! * **Empty-bucket skipping.** The pass iterates
 //!   [`TemporalNetwork::occupied_times`] rather than probing every
 //!   `t ∈ {1, …, a}`, turning sparse sweeps from `O(a + M·W)` into
@@ -30,8 +30,8 @@
 //! ## Semantics contract
 //!
 //! The sweep preserves the exact strictly-increasing-label semantics of
-//! the scalar [`foremost`](crate::foremost::foremost) sweep and of
-//! [`BatchSweeper`]: `before[v]` holds the
+//! the scalar [`foremost`](crate::foremost::foremost) sweep and of the
+//! lane pass: `before[v]` holds the
 //! lanes that reached `v` **strictly before** the time being processed,
 //! `delta[v]` the lanes newly arriving **at** it, and a whole bucket is
 //! committed at once — sound because a journey's labels strictly
@@ -49,17 +49,18 @@
 //! an empty bucket applies no edges and commits nothing.
 //!
 //! Callers dispatch through the density-aware
-//! [`EngineChoice::pick`](crate::sparse::EngineChoice::pick):
-//! `Batch` below [`WIDE_CROSSOVER`], then `Wide` for dense instances
-//! (occupied buckets carrying ≥ `n/16` time-edges on average, where the
-//! saturation exit and the branch-free word loop pay off) and the
-//! event-driven [`sparse`](crate::sparse) engine for everything sparser.
-//! [`SweepScratch`] bundles all three sweepers for Monte Carlo loops
-//! whose trials straddle the boundaries. Few-source queries stay on
-//! `BatchSweeper`; the scalar `foremost` remains the differential-testing
-//! oracle for every engine.
+//! [`EngineChoice::pick`](crate::sparse::EngineChoice::pick): `Wide`
+//! below [`WIDE_CROSSOVER`] whatever the density, and above it `Wide` for
+//! dense instances (occupied buckets carrying ≥ `n/16` time-edges on
+//! average, where the saturation exit and the branch-free word loop pay
+//! off) and the event-driven [`sparse`](crate::sparse) engine for
+//! everything sparser. [`SweepScratch`] bundles both full-width
+//! sweepers, the lane pass and the differential cursor for Monte Carlo
+//! loops whose trials straddle the boundaries. Point queries and the
+//! 64-lane probes stay on the lane pass; the scalar `foremost` remains
+//! the differential-testing oracle for every engine.
 
-use crate::engine::BatchSweeper;
+use crate::engine::{BatchSweeper, SweepStats};
 use crate::kernels::{self, AlignedSlab, CHUNK_WORDS};
 use crate::network::TemporalNetwork;
 use crate::{Time, NEVER};
@@ -67,16 +68,18 @@ use ephemeral_graph::NodeId;
 use ephemeral_parallel::faults::{self, CancelToken};
 use std::ops::Range;
 
-/// Vertex count at which the all-source entry points (closure, all-pairs
-/// distances, instance diameter, connectivity, metrics) switch from the
-/// 64-lane [`BatchSweeper`] to a full-width engine. Below this the wide
-/// matrix is at most a few words per vertex and the batched engine's
-/// smaller frontier wins; above it a single pass amortises the index walk
-/// over every source, and the density-aware
+/// Vertex count below which the density rule does not apply: the
+/// all-source entry points (closure, instance diameter, connectivity,
+/// `T_reach`, metrics, the cursor recording) run [`WideSweeper`] whatever
+/// the density. Its matrix is at most three words per vertex there, and
+/// the event-driven [`SparseSweeper`](crate::sparse::SparseSweeper) does
+/// not pay for its bookkeeping (at `n = 64` it took 3.5–17× as long as a
+/// 64-lane pass). At and above it the density-aware
 /// [`EngineChoice::pick`](crate::sparse::EngineChoice::pick) decides
-/// *which* full-width engine — [`WideSweeper`] for dense instances, the
-/// event-driven [`SparseSweeper`](crate::sparse::SparseSweeper) for
-/// sparse ones.
+/// between the two full-width engines. A
+/// [`QuerySession`](crate::session::QuerySession) reads it too: below
+/// it, distance-row queries ride the 64-lane lane pass with the point
+/// queries.
 pub const WIDE_CROSSOVER: usize = 192;
 
 /// Which journey engine served a computation — the attribution that
@@ -87,8 +90,9 @@ pub enum EngineKind {
     /// Per-source scalar `foremost` sweep (single-source work like the
     /// §3.5 flooding protocol).
     Scalar,
-    /// 64-lane [`BatchSweeper`], one pass
-    /// per batch of sources.
+    /// The 64-lane lane pass of [`BatchSweeper`] alone: a `T_reach`
+    /// check whose 64-lane probe decided the answer, with no full-width
+    /// block swept.
     Batch,
     /// Single-pass [`WideSweeper`].
     Wide,
@@ -128,7 +132,7 @@ pub trait FrontierEngine: Default + Send {
         start_time: Time,
         horizon: Time,
         on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats;
+    ) -> SweepStats;
 
     /// Sweep `sources` over the full lifetime (see [`WideSweeper::sweep`]).
     fn sweep(
@@ -137,22 +141,26 @@ pub trait FrontierEngine: Default + Send {
         sources: Range<NodeId>,
         start_time: Time,
         on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         self.sweep_with_horizon(tn, sources, start_time, tn.lifetime(), on_reach)
     }
 
-    /// Sweep and fill a per-pair arrival matrix (see
-    /// [`WideSweeper::arrivals_into`]).
+    /// Sweep and record per-pair arrival times into `out`, laid out
+    /// `out[lane · n + v] = δ(sources.start + lane, v)` with [`NEVER`]
+    /// marking unreachable pairs and each source reporting its own
+    /// `start_time` — lane for lane the `arrivals()` array of a scalar
+    /// foremost run.
     ///
     /// # Panics
-    /// If `out.len() != sources.len() · tn.num_nodes()`.
+    /// If `out.len() != sources.len() · tn.num_nodes()`, or any source is
+    /// out of range.
     fn arrivals_into(
         &mut self,
         tn: &TemporalNetwork,
         sources: Range<NodeId>,
         start_time: Time,
         out: &mut [Time],
-    ) -> WideStats {
+    ) -> SweepStats {
         let n = tn.num_nodes();
         assert_eq!(
             out.len(),
@@ -196,8 +204,7 @@ pub trait FrontierEngine: Default + Send {
 
     /// The persistent instance of this engine inside a [`SweepScratch`]
     /// bundle — what lets the sequential scratch entry points route
-    /// through
-    /// [`EngineChoice::dispatch`](crate::sparse::EngineChoice::dispatch)
+    /// through [`EngineChoice::run`](crate::sparse::EngineChoice::run)
     /// with warm buffers instead of hand-matching on the engine kind.
     fn from_scratch(scratch: &mut SweepScratch) -> &mut Self;
 }
@@ -210,7 +217,7 @@ impl FrontierEngine for WideSweeper {
         start_time: Time,
         horizon: Time,
         on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         Self::sweep_with_horizon(self, tn, sources, start_time, horizon, on_reach)
     }
 
@@ -242,7 +249,7 @@ impl FrontierEngine for WideSweeper {
 /// folding in block order is bit-identical to one full-width sweep.
 #[must_use]
 pub fn source_blocks(n: usize, threads: usize) -> Vec<Range<NodeId>> {
-    word_blocks(0, n.div_ceil(64), threads, n)
+    word_blocks(0, n, threads).collect()
 }
 
 /// The number of column blocks a sequential all-source sweep should use
@@ -261,105 +268,50 @@ pub fn cache_block_count(n: usize) -> usize {
 /// The allocation-free iterator form of [`source_blocks`]`(n, shards)`:
 /// the same word-aligned column-block schedule, yielded lazily — what the
 /// sequential scratch paths iterate so they never heap-allocate per
-/// trial. `shards = 1` degenerates to the single full-width block `0..n`.
+/// trial. `shards = 1` degenerates to the single full-width block `0..n`
+/// (no block at all when `n = 0`).
 pub fn block_schedule(n: usize, shards: usize) -> impl Iterator<Item = Range<NodeId>> {
-    let words = n.div_ceil(64);
-    let chunks = words.div_ceil(CHUNK_WORDS);
-    let parts = shards.clamp(1, chunks.max(1));
-    let base = chunks / parts;
-    let extra = chunks % parts;
-    let mut word = 0usize;
-    (0..parts).map(move |b| {
-        let lo = (word * 64).min(n) as NodeId;
-        word += ((base + usize::from(b < extra)) * CHUNK_WORDS).min(words - word);
-        lo..(word * 64).min(n) as NodeId
-    })
+    word_blocks(0, n, shards)
 }
 
 /// The fail-fast split used by the whole-network connectivity checks: the
 /// first 64-lane word as a cheap probe block (a failing instance almost
 /// always has an unreached pair among any 64 sources, so probing it first
-/// costs no more than one batched sweep), plus the remaining words
-/// sharded into at most `threads` wide blocks.
+/// costs one lane pass), plus the remaining words sharded into at most
+/// `threads` wide blocks.
 ///
 /// # Panics
 /// If `n == 0`.
 #[must_use]
 pub fn probe_blocks(n: usize, threads: usize) -> (Range<NodeId>, Vec<Range<NodeId>>) {
-    let words = n.div_ceil(64);
-    assert!(words > 0, "probe_blocks needs at least one source");
+    assert!(n > 0, "probe_blocks needs at least one source");
     let probe = 0..(64.min(n)) as NodeId;
-    (probe, word_blocks(1, words, threads, n))
+    (probe, word_blocks(1, n, threads).collect())
 }
 
-/// Word-aligned blocks covering sources `64·lo_word .. n`, split into at
-/// most `threads` near-equal contiguous word ranges whose interior edges
-/// are rounded to whole [`CHUNK_WORDS`] kernel chunks — every block but
-/// the last spans a multiple of `64 · CHUNK_WORDS` lanes, so each shard's
-/// slice of a chunk-aligned frontier slab is itself whole aligned chunks
-/// (only the final tail is ragged).
-fn word_blocks(lo_word: usize, words: usize, threads: usize, n: usize) -> Vec<Range<NodeId>> {
-    if words <= lo_word {
-        return Vec::new();
-    }
-    let span = words - lo_word;
-    let chunks = span.div_ceil(CHUNK_WORDS);
-    let blocks = threads.clamp(1, chunks);
-    let base = chunks / blocks;
-    let extra = chunks % blocks;
-    let mut out = Vec::with_capacity(blocks);
+/// Word-aligned blocks covering sources `64·lo_word .. n`, yielded
+/// lazily: at most `threads` near-equal contiguous word ranges whose
+/// interior edges are rounded to whole [`CHUNK_WORDS`] kernel chunks —
+/// every block but the last spans a multiple of `64 · CHUNK_WORDS`
+/// lanes, so each shard's slice of a chunk-aligned frontier slab is
+/// itself whole aligned chunks (only the final tail is ragged). Yields
+/// nothing when no word lies past `lo_word`. `word_blocks(1, ..)` is the
+/// allocation-free form of [`probe_blocks`]' remaining blocks.
+pub(crate) fn word_blocks(
+    lo_word: usize,
+    n: usize,
+    threads: usize,
+) -> impl Iterator<Item = Range<NodeId>> {
+    let words = n.div_ceil(64);
+    let chunks = words.saturating_sub(lo_word).div_ceil(CHUNK_WORDS);
+    let blocks = threads.max(1).min(chunks);
+    let (base, extra) = (chunks / blocks.max(1), chunks % blocks.max(1));
     let mut word = lo_word;
-    for b in 0..blocks {
-        let take = ((base + usize::from(b < extra)) * CHUNK_WORDS).min(lo_word + span - word);
+    (0..blocks).map(move |b| {
         let lo = (word * 64).min(n) as NodeId;
-        let hi = ((word + take) * 64).min(n) as NodeId;
-        out.push(lo..hi);
-        word += take;
-    }
-    out
-}
-
-/// What a wide sweep observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WideStats {
-    /// Number of source lanes the sweep carried.
-    pub lanes: usize,
-    /// Total `(lane, vertex)` bits set at the end of the sweep (diagonal
-    /// included). Equals `lanes · n` iff every lane reached everything.
-    pub reached_bits: usize,
-    /// The last time any bit newly set (`0` when nothing was reached).
-    pub last_arrival: Time,
-    /// Occupied buckets the pass actually visited before finishing or
-    /// saturating — `≪ a` on dense instances (the early-exit observable),
-    /// `≤ occupied ≤ min(a, M)` always.
-    pub buckets_visited: usize,
-    /// High-water mark of the sparse engine's region arena during the
-    /// sweep, in `u32` words (`0` for the wide and batched engines, which
-    /// carry no arena).
-    pub arena_hiwater_words: usize,
-    /// Arena compactions the sparse engine performed during the sweep
-    /// (`0` for the wide and batched engines).
-    pub compactions: usize,
-    /// Graceful-degradation events the sweep absorbed instead of
-    /// aborting: forced arena compactions under an
-    /// [`arena budget`](crate::sparse::SparseSweeper::set_arena_budget_words)
-    /// and closure row-block shrinks under the streaming-closure byte
-    /// budget. `0` means the sweep ran at full capacity.
-    pub degraded: usize,
-}
-
-impl WideStats {
-    /// Did every lane reach every one of the `n` vertices?
-    #[must_use]
-    pub const fn all_reached(&self, n: usize) -> bool {
-        self.reached_bits == self.lanes * n
-    }
-
-    /// Ordered `(lane, vertex)` pairs the sweep did **not** connect.
-    #[must_use]
-    pub const fn unreached_pairs(&self, n: usize) -> usize {
-        self.lanes * n - self.reached_bits
-    }
+        word += ((base + usize::from(b < extra)) * CHUNK_WORDS).min(words - word);
+        lo..(word * 64).min(n) as NodeId
+    })
 }
 
 /// Reusable scratch state of the wide-frontier sweep.
@@ -372,7 +324,7 @@ impl WideStats {
 ///
 /// ```
 /// use ephemeral_graph::generators;
-/// use ephemeral_temporal::wide::WideSweeper;
+/// use ephemeral_temporal::wide::{FrontierEngine, WideSweeper};
 /// use ephemeral_temporal::{LabelAssignment, TemporalNetwork, NEVER};
 ///
 /// // 0—1 @1, 1—2 @2: all three sources answered in one pass.
@@ -495,7 +447,7 @@ impl WideSweeper {
         sources: Range<NodeId>,
         start_time: Time,
         on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         self.sweep_with_horizon(tn, sources, start_time, tn.lifetime(), on_reach)
     }
 
@@ -511,7 +463,7 @@ impl WideSweeper {
         start_time: Time,
         horizon: Time,
         mut on_reach: impl FnMut(NodeId, usize, u64, Time),
-    ) -> WideStats {
+    ) -> SweepStats {
         let n = tn.num_nodes();
         let lanes = sources.len();
         let width = lanes.div_ceil(64);
@@ -521,6 +473,9 @@ impl WideSweeper {
         self.before.resize_zeroed(n * stride);
         self.delta.resize_zeroed(n * stride);
         self.touched.clear();
+        // A vertex joins `touched` at most once per round, so `n` bounds
+        // it: reserved up front, a warm sweep never grows it.
+        self.touched.reserve(n);
         self.stamp.clear();
         self.stamp.resize(n, 0);
         self.row_bits.clear();
@@ -659,64 +614,30 @@ impl WideSweeper {
                 touched.clear();
             }
         }
-        WideStats {
+        SweepStats {
             lanes,
             reached_bits: reached,
             last_arrival,
             buckets_visited,
-            arena_hiwater_words: 0,
-            compactions: 0,
-            degraded: 0,
+            ..SweepStats::default()
         }
-    }
-
-    /// Sweep and record per-pair arrival times into `out`, laid out
-    /// `out[lane · n + v] = δ(sources.start + lane, v)` with [`NEVER`]
-    /// marking unreachable pairs and each source reporting its own
-    /// `start_time` — lane for lane the `arrivals()` array of a scalar
-    /// foremost run.
-    ///
-    /// # Panics
-    /// If `out.len() != sources.len() · n`, or as [`WideSweeper::sweep`].
-    pub fn arrivals_into(
-        &mut self,
-        tn: &TemporalNetwork,
-        sources: Range<NodeId>,
-        start_time: Time,
-        out: &mut [Time],
-    ) -> WideStats {
-        let n = tn.num_nodes();
-        assert_eq!(
-            out.len(),
-            sources.len() * n,
-            "arrival buffer must hold sources × vertices entries"
-        );
-        out.fill(NEVER);
-        for (lane, s) in sources.clone().enumerate() {
-            out[lane * n + s as usize] = start_time;
-        }
-        self.sweep(tn, sources, start_time, |v, w, mut fresh, t| {
-            while fresh != 0 {
-                let lane = w * 64 + fresh.trailing_zeros() as usize;
-                out[lane * n + v as usize] = t;
-                fresh &= fresh - 1;
-            }
-        })
     }
 }
 
-/// All three journey engines in one reusable bundle — the per-worker
-/// scratch of Monte Carlo loops whose instances straddle the dispatch
-/// boundaries (e.g. `ephemeral-core`'s diameter estimators and scenario
-/// sweeps). Whichever engine
+/// Every journey engine in one reusable bundle — the per-worker scratch
+/// of Monte Carlo loops whose instances straddle the dispatch boundaries
+/// (e.g. `ephemeral-core`'s diameter estimators and scenario sweeps).
+/// Whichever full-width engine
 /// [`EngineChoice::pick`](crate::sparse::EngineChoice::pick) selects per
-/// trial, the others' buffers stay warm and unused; all three are
+/// trial, the other's buffers stay warm and unused; every engine is
 /// allocation-free across same-shaped trials.
 #[derive(Debug, Clone, Default)]
 pub struct SweepScratch {
-    /// The 64-lane batched engine (below the crossover).
+    /// The 64-lane lane pass: `T_reach` and connectivity probes, and a
+    /// session's point queries.
     pub batch: BatchSweeper,
-    /// The single-pass wide engine (dense instances above the crossover).
+    /// The single-pass wide engine (below the crossover, and dense
+    /// instances above it).
     pub wide: WideSweeper,
     /// The event-driven sparse engine (sparse instances above the
     /// crossover).
@@ -728,6 +649,9 @@ pub struct SweepScratch {
     /// [`apply_label_move`](crate::delta::DeltaCursor::apply_label_move)
     /// calls allocate nothing.
     pub delta: crate::delta::DeltaCursor,
+    /// Per-lane reach counts of the full-width `T_reach` blocks after the
+    /// probe, kept so a warm check allocates nothing.
+    pub(crate) lane_counts: Vec<usize>,
 }
 
 impl SweepScratch {
@@ -738,8 +662,8 @@ impl SweepScratch {
     }
 
     /// Arm (or clear) one cooperative cancellation token on every engine
-    /// in the bundle — whichever engine the density-aware dispatch picks
-    /// for a trial honours the same token at its bucket boundaries. The
+    /// in the bundle — whichever engine a trial runs honours the same
+    /// token at its bucket boundaries. The
     /// sweep grid's per-cell watchdog (`--cell-timeout`) installs the
     /// cell's token here.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {

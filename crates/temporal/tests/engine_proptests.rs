@@ -1,20 +1,21 @@
-//! Differential property tests: the bit-parallel multi-source engine must
-//! be **bit-identical** to per-source scalar `foremost` sweeps — across
+//! Differential property tests: the 64-lane lane pass must be
+//! **bit-identical** to per-source scalar `foremost` sweeps — across
 //! random graphs, label densities, lifetimes, directedness, start times and
 //! non-multiple-of-64 source counts. The scalar sweep is the oracle; every
-//! engine consumer (closure, distances, diameter, connectivity) is pinned
-//! against it here.
+//! all-source consumer (closure, distances, diameter, connectivity) is
+//! pinned against it here.
 
 use ephemeral_graph::generators;
 use ephemeral_graph::NodeId;
 use ephemeral_rng::{RandomSource, SeedSequence};
 use ephemeral_temporal::closure::ReachabilityMatrix;
 use ephemeral_temporal::distance::{
-    instance_temporal_diameter, instance_temporal_diameter_reusing,
+    instance_temporal_diameter, instance_temporal_diameter_scratch,
 };
-use ephemeral_temporal::engine::{batch_count, batch_range, BatchSweeper, MAX_LANES};
+use ephemeral_temporal::engine::{batch_count, batch_range, BatchSweeper, Lane, MAX_LANES};
 use ephemeral_temporal::foremost::foremost;
 use ephemeral_temporal::reachability::is_temporally_connected;
+use ephemeral_temporal::wide::SweepScratch;
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time, NEVER};
 use proptest::prelude::*;
 
@@ -39,12 +40,38 @@ fn random_network(
     TemporalNetwork::new(g, labels, lifetime).unwrap()
 }
 
+/// One lane pass of targetless row lanes from `sources` at `start`, its
+/// streamed commits laid out `out[lane · n + v]` — lane for lane the
+/// `arrivals()` array of a scalar foremost run.
+fn row_lane_arrivals(
+    sweeper: &mut BatchSweeper,
+    tn: &TemporalNetwork,
+    sources: &[NodeId],
+    start: Time,
+) -> Vec<Time> {
+    let n = tn.num_nodes();
+    let lanes: Vec<Lane> = sources.iter().map(|&s| Lane::row(s, NEVER)).collect();
+    let mut out = vec![NEVER; lanes.len() * n];
+    for (lane, &s) in sources.iter().enumerate() {
+        out[lane * n + s as usize] = start;
+    }
+    let mut arrivals = vec![NEVER; lanes.len()];
+    sweeper.sweep_lanes(tn, &lanes, start, &mut arrivals, |v, mut bits, t| {
+        while bits != 0 {
+            let lane = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            out[lane * n + v as usize] = t;
+        }
+    });
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Core contract: per-(source, target) arrivals from one batched sweep
-    /// equal the scalar oracle's, for arbitrary source subsets (any count
-    /// in 1..=64, duplicates included) and arbitrary start times.
+    /// Core contract: per-(source, target) arrivals from one pass of row
+    /// lanes equal the scalar oracle's, for arbitrary source subsets (any
+    /// count in 1..=64, duplicates included) and arbitrary start times.
     #[test]
     fn batch_arrivals_are_bit_identical_to_scalar(
         seed: u64,
@@ -61,8 +88,7 @@ proptest! {
         let sources: Vec<NodeId> = (0..lanes)
             .map(|_| rng.bounded_u32(n as u32))
             .collect();
-        let mut got = vec![0 as Time; lanes * n];
-        BatchSweeper::new().arrivals_into(&tn, &sources, start, &mut got);
+        let got = row_lane_arrivals(&mut BatchSweeper::new(), &tn, &sources, start);
         for (lane, &s) in sources.iter().enumerate() {
             let oracle = foremost(&tn, s, start);
             prop_assert_eq!(
@@ -97,7 +123,7 @@ proptest! {
 
     /// The instance diameter (engine stats, no matrix) agrees with a brute
     /// reduction of the scalar sweeps' arrival matrix — including the
-    /// parallel and the sweeper-reusing sequential paths.
+    /// parallel and the scratch-reusing sequential paths.
     #[test]
     fn distances_and_diameter_match_scalar(
         seed: u64,
@@ -123,8 +149,8 @@ proptest! {
         let d = instance_temporal_diameter(&tn, 2);
         prop_assert_eq!(d.max_finite, max_finite);
         prop_assert_eq!(d.unreachable_pairs, missing);
-        let mut sweeper = BatchSweeper::new();
-        prop_assert_eq!(d, instance_temporal_diameter_reusing(&tn, &mut sweeper));
+        let mut scratch = SweepScratch::new();
+        prop_assert_eq!(d, instance_temporal_diameter_scratch(&tn, &mut scratch));
         prop_assert_eq!(
             is_temporally_connected(&tn, 2),
             missing == 0 || n <= 1
@@ -148,7 +174,7 @@ proptest! {
     }
 
     /// In-place label replacement is indistinguishable from fresh
-    /// construction as seen by the engine.
+    /// construction as seen by the lane pass.
     #[test]
     fn replace_assignment_then_sweep_matches_fresh_network(
         seed: u64,
@@ -172,10 +198,8 @@ proptest! {
         let mut sweeper = BatchSweeper::new();
         for b in 0..batch_count(n) {
             let sources: Vec<NodeId> = batch_range(n, b).collect();
-            let mut replaced = vec![NEVER; sources.len() * n];
-            let mut built = vec![NEVER; sources.len() * n];
-            sweeper.arrivals_into(&tn, &sources, 0, &mut replaced);
-            sweeper.arrivals_into(&fresh, &sources, 0, &mut built);
+            let replaced = row_lane_arrivals(&mut sweeper, &tn, &sources, 0);
+            let built = row_lane_arrivals(&mut sweeper, &fresh, &sources, 0);
             prop_assert_eq!(replaced, built, "batch {}", b);
         }
     }

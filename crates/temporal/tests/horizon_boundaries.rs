@@ -1,5 +1,6 @@
 //! Boundary audit of the horizon/occupied-index plumbing: every engine's
-//! `sweep_with_horizon` (batched, wide, sparse) must match the scalar
+//! horizon sweep (row lanes of the lane pass, wide and sparse
+//! `sweep_with_horizon`) must match the scalar
 //! `foremost_with_horizon` oracle **lane for lane** at the degenerate
 //! corners — `horizon == 0`, `horizon ≤ start_time`, `horizon` beyond the
 //! lifetime (including `Time::MAX`), `start_time` at and beyond the
@@ -10,7 +11,7 @@
 
 use ephemeral_graph::NodeId;
 use ephemeral_rng::{RandomSource, SeedSequence};
-use ephemeral_temporal::engine::BatchSweeper;
+use ephemeral_temporal::engine::{BatchSweeper, Lane};
 use ephemeral_temporal::foremost::foremost_with_horizon;
 use ephemeral_temporal::sparse::SparseSweeper;
 use ephemeral_temporal::wide::{FrontierEngine, WideSweeper};
@@ -55,19 +56,28 @@ fn frontier<S: FrontierEngine>(tn: &TemporalNetwork, start: Time, horizon: Time)
     out
 }
 
-/// All-pairs arrivals of the 64-lane batched engine under a horizon.
+/// One row lane per vertex (the networks here have at most 64 vertices,
+/// so one lane pass covers every source).
+fn row_lanes(tn: &TemporalNetwork, horizon: Time) -> Vec<Lane> {
+    (0..tn.num_nodes() as NodeId)
+        .map(|s| Lane::row(s, horizon))
+        .collect()
+}
+
+/// All-pairs arrivals of one lane pass of row lanes under a horizon.
 fn batched(tn: &TemporalNetwork, start: Time, horizon: Time) -> Vec<Time> {
     let n = tn.num_nodes();
-    let sources: Vec<NodeId> = (0..n as NodeId).collect();
     let mut out = vec![NEVER; n * n];
     for s in 0..n {
         out[s * n + s] = start;
     }
-    BatchSweeper::new().sweep_with_horizon(tn, &sources, start, horizon, |v, mut lanes, t| {
-        while lanes != 0 {
-            let lane = lanes.trailing_zeros() as usize;
+    let mut arrivals = vec![NEVER; n];
+    let lanes = row_lanes(tn, horizon);
+    BatchSweeper::new().sweep_lanes(tn, &lanes, start, &mut arrivals, |v, mut bits, t| {
+        while bits != 0 {
+            let lane = bits.trailing_zeros() as usize;
             out[lane * n + v as usize] = t;
-            lanes &= lanes - 1;
+            bits &= bits - 1;
         }
     });
     out
@@ -160,12 +170,18 @@ fn horizon_zero_and_inverted_windows_report_no_arrivals() {
     let tn = network(5, 40);
     let n = tn.num_nodes();
     for (start, horizon) in [(0u32, 0u32), (7, 7), (9, 2), (40, 40), (41, 60)] {
-        let sources: Vec<NodeId> = (0..n as NodeId).collect();
-        let stats =
-            BatchSweeper::new().sweep_with_horizon(&tn, &sources, start, horizon, |_, _, _| {
-                panic!("batch: no arrivals possible in an empty window")
-            });
+        let stats = BatchSweeper::new().sweep_lanes(
+            &tn,
+            &row_lanes(&tn, horizon),
+            start,
+            &mut vec![NEVER; n],
+            |_, _, _| panic!("batch: no arrivals possible in an empty window"),
+        );
         assert_eq!(stats.reached_bits, n, "batch: diagonal only");
+        assert_eq!(
+            stats.buckets_visited, 0,
+            "batch: empty window visits nothing"
+        );
         let wide = WideSweeper::new().sweep_with_horizon(
             &tn,
             0..n as NodeId,

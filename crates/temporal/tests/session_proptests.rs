@@ -88,10 +88,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Per-lane early exit is pure work avoidance: a lane retired at
-    /// time t reports the same foremost arrival as a full 64-lane
-    /// `BatchSweeper` pass with no targets (no early exit) and as the
-    /// scalar oracle — including lanes that never complete (horizon
-    /// answers) and lanes sharing endpoints in the same bucket.
+    /// time t reports the same foremost arrival as a full lane pass of
+    /// targetless row lanes (no early exit) and as the scalar oracle —
+    /// including lanes that never complete (horizon answers) and lanes
+    /// sharing endpoints in the same bucket.
     #[test]
     fn retired_lanes_report_full_pass_arrivals(
         seed: u64,
@@ -120,9 +120,15 @@ proptest! {
         BatchSweeper::new().sweep_lanes(&tn, &queries, 0, &mut early, |_, _, _| {});
         // The full pass: same sources, no targets, per-source horizons
         // served by scanning the complete arrival rows afterwards.
-        let sources: Vec<NodeId> = queries.iter().map(|l| l.source).collect();
-        let mut full = vec![0 as Time; lanes * n];
-        BatchSweeper::new().arrivals_into(&tn, &sources, 0, &mut full);
+        let rows: Vec<Lane> = queries.iter().map(|l| Lane::row(l.source, NEVER)).collect();
+        let mut full = vec![NEVER; lanes * n];
+        BatchSweeper::new().sweep_lanes(&tn, &rows, 0, &mut vec![NEVER; lanes], |v, mut bits, t| {
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                full[i * n + v as usize] = t;
+            }
+        });
         for (i, lane) in queries.iter().enumerate() {
             let v = lane.target.unwrap() as usize;
             let unbounded = full[i * n + v];
@@ -202,7 +208,7 @@ proptest! {
     }
 }
 
-/// Above the batch crossover, row queries dispatch to the density-picked
+/// At and above the crossover, row queries dispatch to the density-picked
 /// full-width engine while target queries stay on the lane pass — both
 /// must match the oracle. One deterministic case (the crossover is too
 /// big for per-case proptest networks).

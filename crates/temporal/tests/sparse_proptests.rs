@@ -1,6 +1,6 @@
 //! Differential property tests for the event-driven sparse-frontier
-//! engine: a sparse sweep must be **bit-identical** to the wide engine,
-//! the 64-lane batched engine and per-source scalar `foremost` sweeps —
+//! engine: a sparse sweep must be **bit-identical** to the wide engine
+//! and per-source scalar `foremost` sweeps —
 //! across random graphs, directedness, label densities (multi-label edges
 //! exercise the version memo), sparse lifetimes (mostly-empty buckets),
 //! non-multiple-of-64 vertex counts, start times, horizons, and any
@@ -17,13 +17,12 @@ use ephemeral_temporal::distance::{
     instance_temporal_diameter, instance_temporal_diameter_scratch,
     instance_temporal_diameter_scratch_traced,
 };
-use ephemeral_temporal::engine::{batch_count, batch_range, BatchSweeper};
 use ephemeral_temporal::foremost::{foremost, foremost_with_horizon};
 use ephemeral_temporal::metrics::temporal_metrics;
 use ephemeral_temporal::reachability::{is_temporally_connected, treach_holds};
 use ephemeral_temporal::sparse::{EngineChoice, SparseSweeper};
 use ephemeral_temporal::wide::{
-    source_blocks, EngineKind, SweepScratch, WideSweeper, WIDE_CROSSOVER,
+    source_blocks, EngineKind, FrontierEngine, SweepScratch, WideSweeper, WIDE_CROSSOVER,
 };
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time, NEVER};
 use proptest::prelude::*;
@@ -70,12 +69,12 @@ fn sparse_arrivals(tn: &TemporalNetwork, start: Time) -> Vec<Time> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Core contract: one event-driven pass equals the scalar oracle, the
-    /// wide engine and the batched engine, arrival for arrival —
-    /// including multi-label edges (the version memo), sparse lifetimes
-    /// with mostly-empty buckets, and non-multiple-of-64 n.
+    /// Core contract: one event-driven pass equals the scalar oracle and
+    /// the wide engine, arrival for arrival — including multi-label edges
+    /// (the version memo), sparse lifetimes with mostly-empty buckets, and
+    /// non-multiple-of-64 n.
     #[test]
-    fn sparse_arrivals_are_bit_identical_to_scalar_wide_and_batch(
+    fn sparse_arrivals_are_bit_identical_to_scalar_and_wide(
         seed: u64,
         n in 2usize..150,
         p in 0.01f64..0.3,
@@ -90,15 +89,6 @@ proptest! {
         let mut wide = vec![0; n * n];
         WideSweeper::new().arrivals_into(&tn, 0..n as NodeId, start, &mut wide);
         prop_assert_eq!(&sparse, &wide);
-        let mut batch = BatchSweeper::new();
-        let mut batched = Vec::with_capacity(n * n);
-        for b in 0..batch_count(n) {
-            let sources: Vec<NodeId> = batch_range(n, b).collect();
-            let mut chunk = vec![0; sources.len() * n];
-            batch.arrivals_into(&tn, &sources, start, &mut chunk);
-            batched.extend(chunk);
-        }
-        prop_assert_eq!(&sparse, &batched);
     }
 
     /// The sharded fold is deterministic: sweeping the column blocks of
@@ -345,7 +335,7 @@ proptest! {
     // sources per case against n scalar oracles — fewer, heavier cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// In the sparse regime above the batch crossover the density-aware
+    /// In the sparse regime above the crossover the density-aware
     /// dispatch routes every all-source entry point through the
     /// event-driven engine; pin closure, diameter, metrics, connectivity
     /// and T_reach against the scalar oracle and across thread counts.

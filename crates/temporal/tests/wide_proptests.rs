@@ -1,13 +1,14 @@
 //! Differential property tests for the wide-frontier engine: a single
-//! wide pass must be **bit-identical** to the 64-lane batched engine and
-//! to per-source scalar `foremost` sweeps — across random graphs,
+//! wide pass must be **bit-identical** to per-source scalar `foremost`
+//! sweeps — across random graphs,
 //! directedness, label densities, sparse lifetimes (mostly-empty
 //! buckets), non-multiple-of-64 vertex counts, start times, horizons, and
 //! any column-block sharding (the 1/2/8-worker determinism contract of
 //! the parallel fold). The scalar sweep is the oracle; every wide
-//! consumer (closure, diameter, connectivity, metrics) is pinned
-//! against it here.
+//! consumer (closure, diameter, connectivity, `T_reach`, metrics) is
+//! pinned against it here.
 
+use ephemeral_graph::algo::{bfs_distances, UNREACHABLE};
 use ephemeral_graph::generators;
 use ephemeral_graph::NodeId;
 use ephemeral_rng::{RandomSource, SeedSequence};
@@ -15,12 +16,15 @@ use ephemeral_temporal::closure::ReachabilityMatrix;
 use ephemeral_temporal::distance::{
     instance_temporal_diameter, instance_temporal_diameter_scratch,
 };
-use ephemeral_temporal::engine::BatchSweeper;
 use ephemeral_temporal::foremost::{foremost, foremost_with_horizon};
-use ephemeral_temporal::reachability::{is_temporally_connected, treach_holds};
+use ephemeral_temporal::metrics::temporal_metrics;
+use ephemeral_temporal::reachability::{
+    is_temporally_connected, treach_holds, treach_holds_scratch,
+};
 use ephemeral_temporal::sparse::EngineChoice;
 use ephemeral_temporal::wide::{
-    probe_blocks, source_blocks, EngineKind, SweepScratch, WideSweeper, WIDE_CROSSOVER,
+    probe_blocks, source_blocks, EngineKind, FrontierEngine, SweepScratch, WideSweeper,
+    WIDE_CROSSOVER,
 };
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time, NEVER};
 use proptest::prelude::*;
@@ -66,11 +70,11 @@ fn wide_arrivals(tn: &TemporalNetwork, start: Time) -> Vec<Time> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Core contract: one wide pass equals the scalar oracle and the
-    /// batched engine, arrival for arrival, including sparse lifetimes
-    /// with mostly-empty buckets and non-multiple-of-64 n.
+    /// Core contract: one wide pass equals the scalar oracle, arrival for
+    /// arrival, including sparse lifetimes with mostly-empty buckets and
+    /// non-multiple-of-64 n.
     #[test]
-    fn wide_arrivals_are_bit_identical_to_scalar_and_batch(
+    fn wide_arrivals_are_bit_identical_to_scalar(
         seed: u64,
         n in 2usize..150,
         p in 0.01f64..0.3,
@@ -80,18 +84,7 @@ proptest! {
         start in 0u32..6,
     ) {
         let tn = random_network(seed, n, p, directed, max_labels, lifetime);
-        let wide = wide_arrivals(&tn, start);
-        prop_assert_eq!(&wide, &scalar_arrivals(&tn, start));
-        // Batched engine over the same sources, batch by batch.
-        let mut batch = BatchSweeper::new();
-        let mut batched = Vec::with_capacity(n * n);
-        for b in 0..ephemeral_temporal::engine::batch_count(n) {
-            let sources: Vec<NodeId> = ephemeral_temporal::engine::batch_range(n, b).collect();
-            let mut chunk = vec![0; sources.len() * n];
-            batch.arrivals_into(&tn, &sources, start, &mut chunk);
-            batched.extend(chunk);
-        }
-        prop_assert_eq!(&wide, &batched);
+        prop_assert_eq!(wide_arrivals(&tn, start), scalar_arrivals(&tn, start));
     }
 
     /// The sharded fold is deterministic: sweeping the column blocks of 1,
@@ -281,15 +274,90 @@ fn pinned_seeds_stay_bit_identical_across_worker_counts() {
     }
 }
 
+/// Pin every dispatched all-source entry point of `tn` against the scalar
+/// oracle: the closure, the instance diameter (parallel and scratch),
+/// connectivity and `T_reach` (parallel at 1 and 3 threads, and scratch)
+/// and the metrics, whose floating-point sums must equal a per-source
+/// fold in vertex order, summed in source order, bit for bit.
+fn entry_points_match_scalar(tn: &TemporalNetwork) {
+    let n = tn.num_nodes();
+    let closure = ReachabilityMatrix::compute(tn, 2);
+    let (mut max_finite, mut missing, mut treach) = (0, 0, true);
+    let (mut reach, mut sum, mut eff) = (0usize, 0u64, 0.0f64);
+    for s in 0..n as NodeId {
+        let oracle = foremost(tn, s, 0);
+        let mut source_eff = 0.0f64;
+        for (v, &a) in oracle.arrivals().iter().enumerate() {
+            assert_eq!(
+                closure.reaches(s, v as NodeId),
+                a != NEVER,
+                "n {n} ({s}, {v})"
+            );
+            if a == NEVER {
+                missing += 1;
+            } else if v != s as usize {
+                max_finite = max_finite.max(a);
+                reach += 1;
+                sum += u64::from(a);
+                source_eff += 1.0 / f64::from(a.max(1));
+            }
+        }
+        eff += source_eff;
+        let stat = bfs_distances(tn.graph(), s)
+            .iter()
+            .filter(|&&dist| dist != UNREACHABLE)
+            .count();
+        treach &= oracle.reached_count() == stat;
+    }
+    let d = instance_temporal_diameter(tn, 2);
+    assert_eq!(
+        (d.max_finite, d.unreachable_pairs),
+        (max_finite, missing),
+        "n {n}"
+    );
+    let mut scratch = SweepScratch::new();
+    assert_eq!(
+        instance_temporal_diameter_scratch(tn, &mut scratch),
+        d,
+        "n {n}"
+    );
+    assert_eq!(treach_holds_scratch(tn, &mut scratch), treach, "n {n}");
+    for threads in [1usize, 3] {
+        assert_eq!(is_temporally_connected(tn, threads), missing == 0, "n {n}");
+        assert_eq!(treach_holds(tn, threads), treach, "n {n} threads {threads}");
+    }
+    let metrics = temporal_metrics(tn, 2);
+    assert_eq!(metrics.reachable_pairs, reach, "n {n}");
+    assert_eq!(metrics.max_temporal_distance, max_finite, "n {n}");
+    if n > 1 {
+        let pairs = (n * (n - 1)) as f64;
+        assert_eq!(
+            metrics.temporal_efficiency.to_bits(),
+            (eff / pairs).to_bits()
+        );
+        let avg = if reach == 0 {
+            0.0
+        } else {
+            sum as f64 / reach as f64
+        };
+        assert_eq!(metrics.avg_temporal_distance.to_bits(), avg.to_bits());
+    }
+}
+
 proptest! {
-    // The dispatching entry points above the crossover sweep ≥ 192
-    // sources per case against n scalar oracles — fewer, heavier cases.
+    // The dispatching entry points sweep up to ~240 sources per size
+    // against n scalar oracles, at seven sizes per case — fewer, heavier
+    // cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Above WIDE_CROSSOVER every all-source entry point rides a
-    /// full-width engine (wide or sparse, by density); pin closure,
-    /// diameter, connectivity and T_reach against the scalar oracle and
-    /// across thread counts.
+    /// Every all-source entry point rides a full-width engine: wide below
+    /// WIDE_CROSSOVER whatever the density, wide or sparse by density
+    /// above it. Pin each against the scalar oracle and across thread
+    /// counts (see `entry_points_match_scalar`) above the crossover, at
+    /// the word boundaries below it (63, 64, 65, 128, 191) and at one
+    /// more size in 1..=WIDE_CROSSOVER. Below the crossover `dense` lifts
+    /// `p` by 0.5, so that T_reach also holds and the blocks after the
+    /// 64-lane probe sweep.
     #[test]
     fn dispatched_entry_points_match_scalar_above_the_crossover(
         seed: u64,
@@ -297,42 +365,15 @@ proptest! {
         p in 0.015f64..0.08,
         directed: bool,
         sparse_lifetime: bool,
+        small in 1usize..=WIDE_CROSSOVER,
+        dense: bool,
     ) {
-        let n = WIDE_CROSSOVER + extra;
-        let lifetime = if sparse_lifetime { 4 * n as Time } else { n as Time };
-        let tn = random_network(seed, n, p, directed, 1, lifetime);
-        prop_assert_ne!(EngineChoice::pick_for(&tn), EngineKind::Batch);
-
-        let closure = ReachabilityMatrix::compute(&tn, 2);
-        let mut max_finite: Time = 0;
-        let mut missing = 0usize;
-        for s in 0..n as NodeId {
-            let oracle = foremost(&tn, s, 0);
-            for (v, &a) in oracle.arrivals().iter().enumerate() {
-                prop_assert_eq!(closure.reaches(s, v as NodeId), a != NEVER);
-                if a == NEVER {
-                    missing += 1;
-                } else if v != s as usize {
-                    max_finite = max_finite.max(a);
-                }
-            }
-        }
-        let d = instance_temporal_diameter(&tn, 2);
-        prop_assert_eq!(d.max_finite, max_finite);
-        prop_assert_eq!(d.unreachable_pairs, missing);
-        let mut scratch = SweepScratch::new();
-        prop_assert_eq!(d, instance_temporal_diameter_scratch(&tn, &mut scratch));
-        for threads in [1usize, 3] {
-            prop_assert_eq!(is_temporally_connected(&tn, threads), missing == 0);
-            let scalar_treach = (0..n as NodeId).all(|s| {
-                use ephemeral_graph::algo::{bfs_distances, UNREACHABLE};
-                let stat = bfs_distances(tn.graph(), s)
-                    .iter()
-                    .filter(|&&dist| dist != UNREACHABLE)
-                    .count();
-                foremost(&tn, s, 0).reached_count() == stat
-            });
-            prop_assert_eq!(treach_holds(&tn, threads), scalar_treach);
+        for n in [WIDE_CROSSOVER + extra, small, 63, 64, 65, 128, 191] {
+            let p = if dense && n < WIDE_CROSSOVER { p + 0.5 } else { p };
+            let lifetime = if sparse_lifetime { 4 * n as Time } else { n as Time };
+            let tn = random_network(seed, n, p, directed, 1, lifetime);
+            prop_assert_ne!(EngineChoice::pick_for(&tn), EngineKind::Batch);
+            entry_points_match_scalar(&tn);
         }
     }
 }

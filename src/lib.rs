@@ -10,20 +10,21 @@
 //! * [`graph`] — CSR (di)graph substrate, generators, classical algorithms.
 //! * [`temporal`] — labels, journeys, foremost journeys and their
 //!   latest-departure dual, temporal distances and `T_reach`; the
-//!   `engine` module batches 64 sources per sweep, the `wide` module
-//!   answers **all** sources in one pass (saturation early-exit,
-//!   empty-bucket skipping, column-block sharding), and the `sparse`
-//!   module drives the same closure event-style from sorted reacher
-//!   lists for the sparse regime (deterministic source-sharded parallel
-//!   folds, arena compaction, byte-budgeted streaming closure — million-
-//!   vertex capable) — the all-pairs closure, diameter,
-//!   connectivity and metrics entry points dispatch between all three
-//!   through the density-aware, worker-aware `sparse::EngineChoice`; the
-//!   `delta`
+//!   `wide` module answers **all** sources in one pass (saturation
+//!   early-exit, empty-bucket skipping, column-block sharding), and the
+//!   `sparse` module drives the same closure event-style from sorted
+//!   reacher lists for the sparse regime (deterministic source-sharded
+//!   parallel folds, arena compaction, byte-budgeted streaming closure —
+//!   million-vertex capable) — the all-pairs closure, diameter,
+//!   connectivity, `T_reach` and metrics entry points dispatch between
+//!   these two through the density-aware, worker-aware
+//!   `sparse::EngineChoice`; the `engine` module's 64-lane lane pass
+//!   answers point queries and the `T_reach` and connectivity probes;
+//!   the `delta`
 //!   module maintains a recorded closure **differentially** across
 //!   single-label moves (retract-and-replay, bit-identical to cold
-//!   sweeps, ~15× per move on sparse `G(4096, p)`); all three engines
-//!   run their inner loops through the `kernels` module — one explicit
+//!   sweeps, ~15× per move on sparse `G(4096, p)`); every sweep runs
+//!   its inner loops through the `kernels` module — one explicit
 //!   layer of unrolled OR/ANDN word kernels and galloping sorted-`u32`
 //!   merges over 64-byte-aligned slabs, pinned bit-identical to a
 //!   scalar reference.
