@@ -10,7 +10,8 @@
 
 use crate::table::{f, Table};
 use crate::ExpConfig;
-use ephemeral_core::diameter::clique_td_adaptive;
+use ephemeral_core::diameter::td_montecarlo_adaptive;
+use ephemeral_graph::generators;
 use ephemeral_parallel::stats::fit_log2;
 
 /// Run E02.
@@ -46,7 +47,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             _ => 60,
         };
         let acfg = cfg.adaptive(0.25, cap);
-        let est = clique_td_adaptive(n, true, &acfg, seq.derive(n as u64));
+        let clique = generators::clique(n, true);
+        let est =
+            td_montecarlo_adaptive(&clique, n as u32, &acfg, seq.derive(n as u64), cfg.threads);
         ns.push(n);
         means.push(est.finite.mean());
         t.row(vec![

@@ -8,7 +8,8 @@
 use crate::table::{f, Table};
 use crate::ExpConfig;
 use ephemeral_core::bounds::lifetime_bound;
-use ephemeral_core::diameter::clique_td_with_lifetime_adaptive;
+use ephemeral_core::diameter::td_montecarlo_adaptive;
+use ephemeral_graph::generators;
 
 /// Run E04.
 #[must_use]
@@ -35,6 +36,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     };
     let seq = cfg.seq(0xE04);
     for &n in sizes {
+        let clique = generators::clique(n, true);
         for &ratio in ratios {
             let a = (n as u32) * ratio;
             // TD (and its sd) scale with a/n, so the precision target does
@@ -42,12 +44,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             // overspend on large ones.
             let target = 0.05 * lifetime_bound(n, u64::from(a)).max(4.0);
             let acfg = cfg.adaptive(target, if n >= 512 { 80 } else { 250 });
-            let est = clique_td_with_lifetime_adaptive(
-                n,
-                true,
+            let est = td_montecarlo_adaptive(
+                &clique,
                 a,
                 &acfg,
                 seq.derive((n as u64) << 8 | u64::from(ratio)),
+                cfg.threads,
             );
             let bound = lifetime_bound(n, u64::from(a));
             t.row(vec![

@@ -44,10 +44,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         exact.row(vec![
             n.to_string(),
             trials.to_string(),
-            f(s.mean, 2),
-            f(s.sd, 2),
+            f(s.mean(), 2),
+            f(s.sd(), 2),
             f((n as f64).ln(), 2),
-            f(s.mean / (n as f64).ln(), 2),
+            f(s.mean() / (n as f64).ln(), 2),
             f(est.mean_messages, 0),
             f(arcs, 0),
             f(est.mean_messages / arcs, 3),

@@ -10,32 +10,83 @@
 use crate::table::{f, Table};
 use crate::ExpConfig;
 use ephemeral_core::models::{LabelModel, UniformMulti, ZipfMulti};
-use ephemeral_graph::generators;
-use ephemeral_parallel::MonteCarlo;
+use ephemeral_core::scenario::Scratch;
+use ephemeral_graph::{generators, Graph};
+use ephemeral_parallel::adaptive::{adaptive_proportion_with, AdaptiveConfig};
 use ephemeral_rng::RandomSource;
-use ephemeral_temporal::reachability::treach_holds;
-use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time};
+use ephemeral_temporal::reachability::StaticReach;
+use ephemeral_temporal::{LabelAssignment, Time};
 
-fn probability_with<F>(
-    graph: &ephemeral_graph::Graph,
+/// Zipf draws mirrored `t ↦ a + 1 − t`: the late-skewed law.
+struct LateZipf(ZipfMulti);
+
+impl LabelModel for LateZipf {
+    fn lifetime(&self) -> Time {
+        self.0.lifetime
+    }
+
+    fn assign_into(&self, m: usize, rng: &mut dyn RandomSource, out: &mut LabelAssignment) {
+        let a = self.0.assign(m, rng);
+        let lifetime = self.0.lifetime;
+        *out = LabelAssignment::from_fn(m, |e| {
+            a.labels(e).iter().map(|&t| lifetime + 1 - t).collect()
+        })
+        .expect("mirrored labels stay in range");
+    }
+}
+
+/// Structured spread: half the draws uniform in the early half, half in
+/// the late half (a deterministic-ish "design" for the 2-split journeys
+/// of Theorem 6a).
+struct HalfSplit {
     lifetime: Time,
+    r: usize,
+}
+
+impl LabelModel for HalfSplit {
+    fn lifetime(&self) -> Time {
+        self.lifetime
+    }
+
+    fn assign_into(&self, m: usize, rng: &mut dyn RandomSource, out: &mut LabelAssignment) {
+        let half = self.lifetime / 2;
+        *out = LabelAssignment::from_fn(m, |_| {
+            (0..self.r)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        rng.range_u32(1, half)
+                    } else {
+                        rng.range_u32(half + 1, self.lifetime)
+                    }
+                })
+                .collect()
+        })
+        .expect("labels in range");
+    }
+}
+
+/// `P[T_reach]` over `trials` draws from `model`, each checked against the
+/// star's one static oracle.
+fn probability(
+    graph: &Graph,
+    oracle: &StaticReach,
+    model: &(dyn LabelModel + Sync),
     trials: usize,
     seed: u64,
     threads: usize,
-    assign: F,
-) -> f64
-where
-    F: Fn(usize, &mut dyn RandomSource) -> LabelAssignment + Sync,
-{
-    MonteCarlo::new(trials, seed)
-        .with_threads(threads)
-        .success_probability(|_, rng| {
-            let assignment = assign(graph.num_edges(), rng);
-            let tn = TemporalNetwork::new(graph.clone(), assignment, lifetime)
-                .expect("model labels fit");
-            treach_holds(&tn, 1)
-        })
-        .estimate
+) -> f64 {
+    adaptive_proportion_with(
+        &AdaptiveConfig::fixed(trials),
+        seed,
+        threads,
+        || Scratch::new(graph, model.lifetime()),
+        |s, _, rng| {
+            s.redraw(model, rng);
+            s.treach(oracle).0
+        },
+    )
+    .proportion
+    .estimate
 }
 
 /// Run X02.
@@ -58,67 +109,25 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             "half-half split",
         ],
     );
+    let oracle = StaticReach::new(&g);
     for &r in &[4usize, 8, 12, 16, 24] {
         let seq = cfg.seq(0xF0CA).child(r as u64);
-        let uniform = UniformMulti { lifetime, r };
-        let zipf = ZipfMulti::new(lifetime, r, 1.0);
-        let p_uni = probability_with(
-            &g,
-            lifetime,
-            trials,
-            seq.derive(0),
-            cfg.threads,
-            |m, rng| uniform.assign(m, rng),
-        );
-        let p_zipf = probability_with(
-            &g,
-            lifetime,
-            trials,
-            seq.derive(1),
-            cfg.threads,
-            |m, rng| zipf.assign(m, rng),
-        );
-        // Late skew: mirror the zipf draw t ↦ lifetime + 1 − t.
-        let zipf_mirror = ZipfMulti::new(lifetime, r, 1.0);
-        let p_late = probability_with(
-            &g,
-            lifetime,
-            trials,
-            seq.derive(2),
-            cfg.threads,
-            |m, rng| {
-                let a = zipf_mirror.assign(m, rng);
-                LabelAssignment::from_fn(m, |e| {
-                    a.labels(e).iter().map(|&t| lifetime + 1 - t).collect()
-                })
-                .expect("mirrored labels stay in range")
-            },
-        );
-        // Structured spread: half the draws uniform in the early half, half
-        // in the late half (a deterministic-ish "design" for the 2-split
-        // journeys of Theorem 6a).
-        let p_split = probability_with(
-            &g,
-            lifetime,
-            trials,
-            seq.derive(3),
-            cfg.threads,
-            |m, rng| {
-                LabelAssignment::from_fn(m, |_| {
-                    let half = lifetime / 2;
-                    (0..r)
-                        .map(|i| {
-                            if i % 2 == 0 {
-                                rng.range_u32(1, half)
-                            } else {
-                                rng.range_u32(half + 1, lifetime)
-                            }
-                        })
-                        .collect()
-                })
-                .expect("labels in range")
-            },
-        );
+        let laws: [&(dyn LabelModel + Sync); 4] = [
+            &UniformMulti { lifetime, r },
+            &ZipfMulti::new(lifetime, r, 1.0),
+            &LateZipf(ZipfMulti::new(lifetime, r, 1.0)),
+            &HalfSplit { lifetime, r },
+        ];
+        let [p_uni, p_zipf, p_late, p_split] = std::array::from_fn(|k| {
+            probability(
+                &g,
+                &oracle,
+                laws[k],
+                trials,
+                seq.derive(k as u64),
+                cfg.threads,
+            )
+        });
         t.row(vec![
             r.to_string(),
             f(p_uni, 3),

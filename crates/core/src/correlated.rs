@@ -30,23 +30,28 @@
 //! half-width comes from the spread of the per-chain means across
 //! independent chains — the standard batch-means construction — and
 //! stays honest regardless of the within-chain correlation length. For
-//! the same reason [`minimal_r`](crate::reachability_whp::minimal_r)
-//! keeps its independent cold draws: its bisection wants the tightest
-//! CI per sweep, not the cheapest sample per step.
+//! the same reason the minimal-`r` searches of
+//! [`reachability_whp`](crate::reachability_whp) keep independent cold
+//! draws: a bisection wants the tightest CI per sweep, not the cheapest
+//! sample per step.
+//!
+//! One chain loop serves E12's [`treach_probability_correlated`] and the
+//! `treachd` cells of [`Scenario`](crate::scenario::Scenario) alike.
 
-use crate::urtn::{placeholder_network, propose_label_move, resample_single_in_place};
-use ephemeral_graph::Graph;
+use crate::models::{LabelModel, UniformSingle};
+use crate::scenario::Scratch;
+use ephemeral_graph::{EdgeId, Graph};
 use ephemeral_parallel::par_map_with;
-use ephemeral_rng::SeedSequence;
+use ephemeral_rng::{DefaultRng, RandomSource, SeedSequence};
 use ephemeral_temporal::reachability::StaticReach;
-use ephemeral_temporal::wide::SweepScratch;
-use ephemeral_temporal::{LabelAssignment, Time};
+use ephemeral_temporal::wide::EngineKind;
+use ephemeral_temporal::Time;
 
 /// Seed stream tag for the per-chain rng streams.
 const CHAIN_STREAM: u64 = 0xC0;
 
 /// The result of [`treach_probability_correlated`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CorrelatedTreach {
     /// Mean of the per-chain `T_reach` frequencies (unbiased for the
     /// UNI-CASE probability; see the module-level statistics note).
@@ -84,13 +89,14 @@ pub struct CorrelatedTreach {
 /// differentially by a [`DeltaCursor`](ephemeral_temporal::delta::DeltaCursor)
 /// (one recorded sweep per chain, then one
 /// [`apply_label_move`](ephemeral_temporal::delta::DeltaCursor::apply_label_move)
-/// per step).
+/// per step). An edgeless graph holds `T_reach` vacuously: the estimate
+/// is 1 and no chain runs.
 ///
 /// Deterministic in `(graph, lifetime, chains, steps_per_chain, seed)`
 /// — never in `threads`: each chain's rng stream is keyed by its index.
 ///
 /// # Panics
-/// If `graph` has no edges, `lifetime == 0`, or `chains == 0`.
+/// If `lifetime == 0` or `chains == 0`.
 #[must_use]
 pub fn treach_probability_correlated(
     graph: &Graph,
@@ -100,68 +106,121 @@ pub fn treach_probability_correlated(
     seed: u64,
     threads: usize,
 ) -> CorrelatedTreach {
-    assert!(graph.num_edges() > 0, "chains need at least one edge");
     assert!(chains > 0, "at least one chain is required");
-    let target = StaticReach::new(graph).total(graph);
-    let ids: Vec<u64> = (0..chains as u64).collect();
-    let init = || {
-        (
-            placeholder_network(graph, lifetime),
-            LabelAssignment::default(),
-            SweepScratch::new(),
-        )
-    };
-    let n = graph.num_nodes();
-    let per_chain = par_map_with(&ids, threads, init, |(tn, spare, scratch), _, &c| {
-        let mut rng = SeedSequence::new(seed).child(CHAIN_STREAM).rng(c);
-        resample_single_in_place(tn, spare, &mut rng);
-        let (stats, _) = scratch.record_delta(tn);
-        let mut hits = usize::from(stats.reached_bits == target);
-        let mut reach_sum = (stats.reached_bits - n) as u64;
-        let mut applied = 0usize;
-        let mut replayed = 0usize;
-        for _ in 0..steps_per_chain {
-            let (e, from, to) = propose_label_move(tn, &mut rng);
-            if let Some(a) = scratch.delta.apply_label_move(tn, e, from, to) {
-                applied += 1;
-                replayed += a.replayed_buckets;
-            }
-            let reached = scratch.delta.stats().reached_bits;
-            hits += usize::from(reached == target);
-            reach_sum += (reached - n) as u64;
-        }
-        (hits, applied, replayed, reach_sum)
-    });
+    let stream = SeedSequence::new(seed).child(CHAIN_STREAM);
+    run_chains(
+        graph,
+        &UniformSingle { lifetime },
+        chains,
+        steps_per_chain,
+        threads,
+        || Scratch::new(graph, lifetime),
+        |s, c, run| run(s, &mut stream.rng(c)),
+    )
+}
 
-    let samples_per_chain = steps_per_chain + 1;
-    let mean_and_se = |means: &[f64]| {
+/// One chain's tallies, and the engine that recorded its starting state.
+pub(crate) struct Chain {
+    hits: usize,
+    applied: usize,
+    replayed: usize,
+    reach_sum: u64,
+    pub(crate) engine: EngineKind,
+}
+
+/// Run `chains` independent Gibbs chains of `steps` proposals each, every
+/// chain started from a fresh draw from `model` and recorded once, and
+/// fold them by the between-chain construction. `around(scratch, c,
+/// chain)` runs chain `c` on its own generator and may wrap it (the
+/// scenario's arena tracking and engine attribution), so the result never
+/// depends on `threads`.
+pub(crate) fn run_chains<A>(
+    graph: &Graph,
+    model: &(dyn LabelModel + Sync),
+    chains: usize,
+    steps: usize,
+    threads: usize,
+    init: impl Fn() -> Scratch + Sync,
+    around: A,
+) -> CorrelatedTreach
+where
+    A: Fn(&mut Scratch, u64, &dyn Fn(&mut Scratch, &mut DefaultRng) -> Chain) -> Chain + Sync,
+{
+    let (n, m) = (graph.num_nodes(), graph.num_edges());
+    if m == 0 {
+        // Both reaches are the diagonal: T_reach holds vacuously.
+        return CorrelatedTreach {
+            estimate: 1.0,
+            chains,
+            steps_per_chain: steps,
+            ..CorrelatedTreach::default()
+        };
+    }
+    let target = StaticReach::new(graph).total(graph);
+    let lifetime = model.lifetime();
+    let chain = |s: &mut Scratch, rng: &mut DefaultRng| {
+        s.redraw(model, rng);
+        let (stats, engine) = s.sweeper.record_delta(&s.tn);
+        let mut out = Chain {
+            hits: usize::from(stats.reached_bits == target),
+            applied: 0,
+            replayed: 0,
+            reach_sum: (stats.reached_bits - n) as u64,
+            engine,
+        };
+        for _ in 0..steps {
+            // One Gibbs proposal, the words `urtn::propose_label_move`
+            // reads: a uniform edge, a uniform label of it, a fresh
+            // uniform replacement. An edge whose model draw left it
+            // unlabelled rejects the proposal (nothing to move) and the
+            // unchanged state is sampled again — exactly like a colliding
+            // draw.
+            let e = rng.index(m) as EdgeId;
+            let labels = s.tn.labels(e);
+            if !labels.is_empty() {
+                let from = labels[rng.index(labels.len())];
+                let to = rng.range_u32(1, lifetime);
+                if let Some(a) = s.sweeper.delta.apply_label_move(&mut s.tn, e, from, to) {
+                    out.applied += 1;
+                    out.replayed += a.replayed_buckets;
+                }
+            }
+            let reached = s.sweeper.delta.stats().reached_bits;
+            out.hits += usize::from(reached == target);
+            out.reach_sum += (reached - n) as u64;
+        }
+        out
+    };
+    let ids: Vec<u64> = (0..chains as u64).collect();
+    let per_chain = par_map_with(&ids, threads, init, |s, _, &c| around(s, c, &chain));
+
+    let samples_per_chain = steps + 1;
+    // Between-chain standard error: honest under within-chain
+    // autocorrelation, since only independent chains enter the spread.
+    let mean_and_se = |tally: fn(&Chain) -> f64| {
+        let means: Vec<f64> = per_chain
+            .iter()
+            .map(|c| tally(c) / samples_per_chain as f64)
+            .collect();
         let mean = means.iter().sum::<f64>() / chains as f64;
         let half = if chains >= 2 {
-            let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (chains - 1) as f64;
+            let var = means.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (chains - 1) as f64;
             1.96 * (var / chains as f64).sqrt()
         } else {
             f64::INFINITY
         };
         (mean, half)
     };
-    let hit_means: Vec<f64> = per_chain
-        .iter()
-        .map(|&(hits, ..)| hits as f64 / samples_per_chain as f64)
-        .collect();
-    let reach_means: Vec<f64> = per_chain
-        .iter()
-        .map(|&(.., reach)| reach as f64 / samples_per_chain as f64)
-        .collect();
-    let (estimate, half_width) = mean_and_se(&hit_means);
-    let (mean_reachable_pairs, reach_half_width) = mean_and_se(&reach_means);
+    let (estimate, half_width) = mean_and_se(|c| c.hits as f64);
+    let (mean_reachable_pairs, reach_half_width) = mean_and_se(|c| c.reach_sum as f64);
     CorrelatedTreach {
         estimate,
         half_width,
         chains,
-        steps_per_chain,
+        steps_per_chain: steps,
         samples: chains * samples_per_chain,
-        applied_moves: per_chain.iter().map(|&(_, a, _, _)| a).sum(),
-        replayed_buckets: per_chain.iter().map(|&(_, _, r, _)| r).sum(),
+        applied_moves: per_chain.iter().map(|c| c.applied).sum(),
+        replayed_buckets: per_chain.iter().map(|c| c.replayed).sum(),
         mean_reachable_pairs,
         reach_half_width,
     }
@@ -170,8 +229,10 @@ pub fn treach_probability_correlated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::urtn::{placeholder_network, propose_label_move, resample_single_in_place};
     use ephemeral_graph::generators;
     use ephemeral_temporal::reachability::treach_holds;
+    use ephemeral_temporal::LabelAssignment;
 
     #[test]
     fn clique_chains_always_hold() {
@@ -193,6 +254,15 @@ mod tests {
         let g = generators::star(16);
         let out = treach_probability_correlated(&g, 16, 3, 40, 7, 2);
         assert!(out.estimate < 0.3, "estimate {}", out.estimate);
+    }
+
+    #[test]
+    fn edgeless_graphs_hold_vacuously() {
+        let g = ephemeral_graph::GraphBuilder::new_undirected(3)
+            .build()
+            .unwrap();
+        let out = treach_probability_correlated(&g, 4, 2, 10, 1, 1);
+        assert_eq!((out.estimate, out.half_width, out.samples), (1.0, 0.0, 0));
     }
 
     #[test]

@@ -11,150 +11,20 @@
 //! trials. Theorem 4 predicts `TD ≤ γ·log n` w.h.p. for
 //! the directed normalized U-RT clique; experiment E02 fits `γ`.
 
-use ephemeral_graph::{generators, Graph};
+use crate::models::UniformSingle;
+use crate::scenario::Scratch;
+use ephemeral_graph::Graph;
 use ephemeral_parallel::adaptive::{
     run_adaptive, AdaptiveConfig, AdaptiveRun, FilteredMeanAccumulator,
 };
-use ephemeral_parallel::stats::{OnlineStats, Summary};
-use ephemeral_parallel::{available_threads, par_for_with};
-use ephemeral_rng::SeedSequence;
+use ephemeral_parallel::stats::OnlineStats;
 use ephemeral_temporal::distance::{
     instance_temporal_diameter, instance_temporal_diameter_scratch,
 };
-use ephemeral_temporal::wide::SweepScratch;
-use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time};
+use ephemeral_temporal::Time;
 
-/// Monte Carlo estimate of the temporal diameter of a random temporal
-/// network family.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TemporalDiameterEstimate {
-    /// Summary of the finite instance diameters.
-    pub finite: Summary,
-    /// Trials whose instance diameter was infinite (some pair unreachable).
-    pub infinite_instances: usize,
-    /// Total trials.
-    pub trials: usize,
-    /// `mean / ln n` — the empirical `γ` against the natural log.
-    pub gamma_ln: f64,
-    /// `mean / log₂ n` — the empirical `γ` against the binary log.
-    pub gamma_log2: f64,
-}
-
-/// Per-worker trial scratch: one owned copy of the network whose labels are
-/// redrawn in place each trial, the spare assignment the draw writes into,
-/// and both journey-engine sweepers — so a full Monte Carlo run performs no
-/// per-trial allocation once the buffers are warm (locked in by the
-/// allocation regression test in `tests/alloc_regression.rs`).
-struct TrialScratch {
-    tn: TemporalNetwork,
-    spare: LabelAssignment,
-    sweeper: SweepScratch,
-}
-
-impl TrialScratch {
-    fn new(graph: &Graph, lifetime: Time) -> Self {
-        Self {
-            tn: crate::urtn::placeholder_network(graph, lifetime),
-            spare: LabelAssignment::default(),
-            sweeper: SweepScratch::new(),
-        }
-    }
-
-    /// Draw trial `trial`'s labels into the spare buffers, swap them into
-    /// the network, and return the instance diameter. The engine is
-    /// picked per instance by the density-aware dispatch (wide below the
-    /// crossover, wide/sparse by occupied-bucket fill above it);
-    /// `inner_threads > 1` additionally shards the instance across
-    /// workers, 1 reuses this scratch's sweepers. All paths report
-    /// identical numbers.
-    fn run_trial(
-        &mut self,
-        seq: &SeedSequence,
-        trial: usize,
-        inner_threads: usize,
-    ) -> (Time, bool) {
-        let mut rng = seq.rng(trial as u64);
-        crate::urtn::resample_single_in_place(&mut self.tn, &mut self.spare, &mut rng);
-        let d = if inner_threads <= 1 {
-            instance_temporal_diameter_scratch(&self.tn, &mut self.sweeper)
-        } else {
-            instance_temporal_diameter(&self.tn, inner_threads)
-        };
-        match d.value() {
-            Some(v) => (v, true),
-            None => (d.max_finite, false),
-        }
-    }
-}
-
-/// Estimate `TD` of the UNI-CASE model over a fixed graph. Each worker owns
-/// one copy of the graph CSR for the whole run; each trial redraws labels
-/// into per-worker scratch and runs the dispatched engine — trials ×
-/// threads, not sources × threads.
-///
-/// # Panics
-/// If `trials == 0`, the graph is empty, or `lifetime == 0`.
-#[must_use]
-pub fn td_montecarlo(
-    graph: &Graph,
-    lifetime: Time,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> TemporalDiameterEstimate {
-    assert!(trials > 0, "need at least one trial");
-    let n = graph.num_nodes();
-    assert!(n > 0, "graph must be non-empty");
-    let seq = SeedSequence::new(seed);
-
-    // Memory strategy: for large graphs a clique instance is ~100 MB, so
-    // trials run sequentially with column-block parallelism inside; for
-    // small graphs one trial's few blocks cannot feed many threads, so we
-    // fan out across trials instead (one scratch per worker).
-    let big = graph.num_edges() >= 1 << 20;
-    let results: Vec<(Time, bool)> = if big {
-        let mut scratch = TrialScratch::new(graph, lifetime);
-        (0..trials)
-            .map(|i| scratch.run_trial(&seq, i, threads))
-            .collect()
-    } else {
-        par_for_with(
-            trials,
-            threads,
-            || TrialScratch::new(graph, lifetime),
-            |scratch, i| scratch.run_trial(&seq, i, 1),
-        )
-    };
-
-    summarise(results, n)
-}
-
-fn summarise(results: Vec<(Time, bool)>, n: usize) -> TemporalDiameterEstimate {
-    let trials = results.len();
-    let finite_samples: Vec<f64> = results
-        .iter()
-        .filter(|&&(_, finite)| finite)
-        .map(|&(v, _)| f64::from(v))
-        .collect();
-    let infinite_instances = trials - finite_samples.len();
-    let finite = Summary::from_samples(&finite_samples);
-    let ln_n = (n.max(2) as f64).ln();
-    let log2_n = (n.max(2) as f64).log2();
-    TemporalDiameterEstimate {
-        gamma_ln: finite.mean / ln_n,
-        gamma_log2: finite.mean / log2_n,
-        finite,
-        infinite_instances,
-        trials,
-    }
-}
-
-/// [`td_montecarlo`] with **adaptive** trial allocation: batches run until
-/// the CI half-width of the mean finite instance diameter reaches the
-/// config's target, or its trial cap. Trials are spent only where variance
-/// demands them — a low-variance size stops early, a noisy one keeps
-/// sampling. Deterministic in `(graph, lifetime, cfg, seed)` regardless of
-/// `threads`.
+/// Monte Carlo estimate of `TD` over a fixed graph, from
+/// [`td_montecarlo_adaptive`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveDiameterEstimate {
     /// Moments of the finite instance diameters.
@@ -173,14 +43,18 @@ pub struct AdaptiveDiameterEstimate {
     pub gamma_log2: f64,
 }
 
-/// Adaptive-stopping estimate of `TD` over a fixed graph (see
-/// [`AdaptiveDiameterEstimate`]). Uses the same per-worker scratch loop as
-/// [`td_montecarlo`]; large graphs (≥ 2²⁰ edges) run trials sequentially
-/// with column-block engine parallelism instead, without changing any
-/// reported number.
+/// Estimate `TD` of the UNI-CASE model over a fixed graph: batches run
+/// until the CI half-width of the mean finite instance diameter reaches
+/// the config's target, or its trial cap (a fixed count is
+/// [`AdaptiveConfig::fixed`]). Deterministic in `(graph, lifetime, cfg,
+/// seed)` regardless of `threads`. Each worker owns one [`Scratch`]; each
+/// trial redraws the labels into it and runs the dispatched engine —
+/// trials × threads, not sources × threads. On large graphs (≥ 2²⁰
+/// edges, ~100 MB per clique instance) trials run in sequence with the
+/// engine's column-block parallelism inside each, with the same numbers.
 ///
 /// # Panics
-/// If the graph is empty or `lifetime == 0`.
+/// If the graph is empty, `lifetime == 0` or the config's trial cap is 0.
 #[must_use]
 pub fn td_montecarlo_adaptive(
     graph: &Graph,
@@ -191,19 +65,25 @@ pub fn td_montecarlo_adaptive(
 ) -> AdaptiveDiameterEstimate {
     let n = graph.num_nodes();
     assert!(n > 0, "graph must be non-empty");
-    let seq = SeedSequence::new(seed);
+    let model = UniformSingle { lifetime };
     let big = graph.num_edges() >= 1 << 20;
     let (outer_threads, inner_threads) = if big { (1, threads) } else { (threads, 1) };
     let run: AdaptiveRun<FilteredMeanAccumulator> = run_adaptive(
         cfg,
         seed,
         outer_threads,
-        || TrialScratch::new(graph, lifetime),
-        |scratch, trial, _| {
-            // TrialScratch derives the trial generator itself from `seq`
-            // (identical construction — the rng handed in is untouched).
-            let (v, finite) = scratch.run_trial(&seq, trial, inner_threads);
-            (f64::from(v), finite)
+        || Scratch::new(graph, lifetime),
+        |s, _, rng| {
+            s.redraw(&model, rng);
+            let d = if inner_threads <= 1 {
+                instance_temporal_diameter_scratch(&s.tn, &mut s.sweeper)
+            } else {
+                instance_temporal_diameter(&s.tn, inner_threads)
+            };
+            match d.value() {
+                Some(v) => (f64::from(v), true),
+                None => (0.0, false),
+            }
         },
     );
     let finite = run.accumulator.accepted;
@@ -220,50 +100,40 @@ pub fn td_montecarlo_adaptive(
     }
 }
 
-/// Adaptive-stopping estimate of `TD` of the normalized U-RT clique.
-#[must_use]
-pub fn clique_td_adaptive(
-    n: usize,
-    directed: bool,
-    cfg: &AdaptiveConfig,
-    seed: u64,
-) -> AdaptiveDiameterEstimate {
-    let graph = generators::clique(n, directed);
-    td_montecarlo_adaptive(&graph, n as Time, cfg, seed, available_threads())
-}
-
-/// Adaptive-stopping estimate of `TD` of a U-RT clique with an arbitrary
-/// lifetime (Theorem 5's regime).
-#[must_use]
-pub fn clique_td_with_lifetime_adaptive(
-    n: usize,
-    directed: bool,
-    lifetime: Time,
-    cfg: &AdaptiveConfig,
-    seed: u64,
-) -> AdaptiveDiameterEstimate {
-    let graph = generators::clique(n, directed);
-    td_montecarlo_adaptive(&graph, lifetime, cfg, seed, available_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ephemeral_graph::generators;
+    use ephemeral_parallel::available_threads;
+
+    /// `trials` fixed-count trials.
+    fn td(
+        graph: &Graph,
+        lifetime: Time,
+        trials: usize,
+        seed: u64,
+        threads: usize,
+    ) -> AdaptiveDiameterEstimate {
+        td_montecarlo_adaptive(
+            graph,
+            lifetime,
+            &AdaptiveConfig::fixed(trials),
+            seed,
+            threads,
+        )
+    }
 
     #[test]
     fn urt_clique_diameter_is_logarithmic() {
         let clique = generators::clique(128, true);
-        let est = td_montecarlo(&clique, 128, 20, 1, available_threads());
+        let est = td(&clique, 128, 20, 1, available_threads());
         assert_eq!(est.trials, 20);
         assert_eq!(est.infinite_instances, 0, "clique instances are connected");
         // Θ(log n): between log2(n)/2 and 8·ln n at this size.
         let ln_n = 128f64.ln();
-        assert!(
-            est.finite.mean > 0.5 * 128f64.log2(),
-            "mean {}",
-            est.finite.mean
-        );
-        assert!(est.finite.mean < 8.0 * ln_n, "mean {}", est.finite.mean);
+        let mean = est.finite.mean();
+        assert!(mean > 0.5 * 128f64.log2(), "mean {mean}");
+        assert!(mean < 8.0 * ln_n, "mean {mean}");
         assert!(est.gamma_ln > 0.0 && est.gamma_log2 > 0.0);
     }
 
@@ -271,18 +141,18 @@ mod tests {
     fn undirected_clique_behaves_like_directed() {
         // Remark 1: the undirected case is not significantly different.
         let (directed, undirected) = (generators::clique(64, true), generators::clique(64, false));
-        let dir = td_montecarlo(&directed, 64, 15, 2, available_threads());
-        let und = td_montecarlo(&undirected, 64, 15, 2, available_threads());
+        let dir = td(&directed, 64, 15, 2, available_threads());
+        let und = td(&undirected, 64, 15, 2, available_threads());
         assert_eq!(und.infinite_instances, 0);
         // Undirected labels serve both directions: diameter within 2x.
-        assert!(und.finite.mean <= dir.finite.mean * 1.5 + 2.0);
+        assert!(und.finite.mean() <= dir.finite.mean() * 1.5 + 2.0);
     }
 
     #[test]
     fn estimates_are_deterministic() {
         let clique = generators::clique(32, true);
-        let a = td_montecarlo(&clique, 32, 10, 3, available_threads());
-        let b = td_montecarlo(&clique, 32, 10, 3, available_threads());
+        let a = td(&clique, 32, 10, 3, available_threads());
+        let b = td(&clique, 32, 10, 3, available_threads());
         assert_eq!(a, b);
     }
 
@@ -291,7 +161,7 @@ mod tests {
         // A path with a single uniform label per edge is almost never
         // temporally connected.
         let graph = generators::path(16);
-        let est = td_montecarlo(&graph, 16, 10, 4, 2);
+        let est = td(&graph, 16, 10, 4, 2);
         assert!(est.infinite_instances > 5, "{}", est.infinite_instances);
     }
 
@@ -299,29 +169,30 @@ mod tests {
     fn diameter_grows_with_lifetime() {
         // Theorem 5 mechanics: larger lifetime stretches the diameter.
         let clique = generators::clique(64, true);
-        let short = td_montecarlo(&clique, 64, 10, 5, available_threads());
-        let long = td_montecarlo(&clique, 64 * 8, 10, 5, available_threads());
+        let short = td(&clique, 64, 10, 5, available_threads());
+        let long = td(&clique, 64 * 8, 10, 5, available_threads());
         assert!(
-            long.finite.mean > short.finite.mean * 2.0,
+            long.finite.mean() > short.finite.mean() * 2.0,
             "short {} long {}",
-            short.finite.mean,
-            long.finite.mean
+            short.finite.mean(),
+            long.finite.mean()
         );
     }
 
     #[test]
-    #[should_panic(expected = "at least one trial")]
+    #[should_panic(expected = "trial cap must be positive")]
     fn zero_trials_panics() {
         let graph = generators::path(4);
-        let _ = td_montecarlo(&graph, 4, 0, 0, 1);
+        let _ = td(&graph, 4, 0, 0, 1);
     }
 
     #[test]
     fn adaptive_draws_the_same_trial_streams_as_fixed() {
         // With the stopping rule disabled (cap == min == fixed count), the
-        // adaptive estimator must reproduce td_montecarlo's samples exactly.
+        // batch boundaries must not matter: batches of 8 reproduce the
+        // one-batch fixed count's samples exactly.
         let graph = generators::clique(48, true);
-        let fixed = td_montecarlo(&graph, 48, 24, 5, 2);
+        let fixed = td(&graph, 48, 24, 5, 2);
         let cfg = AdaptiveConfig::new(0.0)
             .with_min_trials(24)
             .with_max_trials(24)
@@ -331,10 +202,10 @@ mod tests {
         assert_eq!(adaptive.infinite_instances, fixed.infinite_instances);
         assert_eq!(
             adaptive.finite.mean().to_bits(),
-            fixed.finite.mean.to_bits()
+            fixed.finite.mean().to_bits()
         );
-        assert_eq!(adaptive.finite.min(), fixed.finite.min);
-        assert_eq!(adaptive.finite.max(), fixed.finite.max);
+        assert_eq!(adaptive.finite.min(), fixed.finite.min());
+        assert_eq!(adaptive.finite.max(), fixed.finite.max());
     }
 
     #[test]
@@ -361,10 +232,11 @@ mod tests {
             .with_min_trials(8)
             .with_batch(8)
             .with_max_trials(64);
-        let est = clique_td_adaptive(64, true, &cfg, 11);
+        let clique = generators::clique(64, true);
+        let est = td_montecarlo_adaptive(&clique, 64, &cfg, 11, available_threads());
         assert!(est.finite.mean() > 0.5 * 64f64.log2());
         assert!(est.finite.mean() < 8.0 * 64f64.ln());
-        let long = clique_td_with_lifetime_adaptive(64, true, 64 * 8, &cfg, 11);
+        let long = td_montecarlo_adaptive(&clique, 64 * 8, &cfg, 11, available_threads());
         assert!(long.finite.mean() > est.finite.mean() * 2.0);
     }
 }

@@ -9,13 +9,17 @@
 //! fires, whether useful or not, which is the `Θ(n²)`-messages behaviour
 //! the paper contrasts with the phone-call model's `O(n log log n)`.
 
+use crate::models::UniformSingle;
+use crate::scenario::Scratch;
 use ephemeral_graph::{Graph, NodeId};
-use ephemeral_parallel::stats::Summary;
-use ephemeral_parallel::MonteCarlo;
+use ephemeral_parallel::adaptive::{
+    run_adaptive, AdaptiveAccumulator, AdaptiveConfig, AdaptiveRun, FilteredMeanAccumulator,
+};
+use ephemeral_parallel::stats::OnlineStats;
 use ephemeral_rng::distr::Binomial;
 use ephemeral_rng::RandomSource;
 use ephemeral_temporal::foremost::foremost;
-use ephemeral_temporal::{LabelAssignment, TemporalNetwork, Time};
+use ephemeral_temporal::{TemporalNetwork, Time};
 
 /// Result of one protocol run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,8 +99,8 @@ pub fn flood(tn: &TemporalNetwork, source: NodeId) -> FloodOutcome {
 /// labellings of one graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloodEstimate {
-    /// Summary of the broadcast times of the trials that covered everyone.
-    pub broadcast_times: Summary,
+    /// Moments of the broadcast times of the trials that covered everyone.
+    pub broadcast_times: OnlineStats,
     /// Trials in which some vertex was never informed within the lifetime.
     pub incomplete: usize,
     /// Mean protocol messages per trial (complete or not).
@@ -105,14 +109,31 @@ pub struct FloodEstimate {
     pub trials: usize,
 }
 
+/// Folds complete broadcast times into the filtered mean, messages into the sum.
+#[derive(Default)]
+struct FloodFold(FilteredMeanAccumulator, f64);
+
+impl AdaptiveAccumulator for FloodFold {
+    type Sample = (Option<Time>, u64);
+
+    fn push(&mut self, (time, messages): (Option<Time>, u64)) {
+        self.0.push((time.map_or(0.0, f64::from), time.is_some()));
+        self.1 += messages as f64;
+    }
+
+    fn trials(&self) -> usize {
+        self.0.trials()
+    }
+
+    fn half_width(&self) -> f64 {
+        self.0.half_width()
+    }
+}
+
 /// Run [`flood`] from `source` over `trials` fresh UNI-CASE labellings of
-/// `graph`. Each worker owns one copy of the graph CSR; per trial the
-/// labels are redrawn into scratch buffers and the time-edge index is
-/// rebuilt in place, so the loop does not reallocate the network (the
-/// batch-scheduled sibling of `diameter::td_montecarlo` — flooding itself
-/// is inherently single-source, so the per-trial sweep stays scalar at
-/// every size: sweep rows attribute it as engine `"scalar"`, never
-/// `"wide"`).
+/// `graph`, each redrawn into its worker's trial [`Scratch`]. Flooding is
+/// single-source, so the per-trial sweep stays scalar at every size
+/// (sweep rows attribute it as engine `"scalar"`).
 ///
 /// # Panics
 /// If `trials == 0`, `lifetime == 0`, or `source` is out of range.
@@ -126,29 +147,22 @@ pub fn flood_montecarlo(
     threads: usize,
 ) -> FloodEstimate {
     assert!(trials > 0, "need at least one trial");
-    let outcomes: Vec<(Option<Time>, u64)> = MonteCarlo::new(trials, seed)
-        .with_threads(threads)
-        .run_with(
-            || {
-                (
-                    crate::urtn::placeholder_network(graph, lifetime),
-                    LabelAssignment::default(),
-                )
-            },
-            |(tn, spare), _, rng| {
-                crate::urtn::resample_single_in_place(tn, spare, rng);
-                let out = flood(tn, source);
-                (out.broadcast_time, out.messages)
-            },
-        );
-    let times: Vec<f64> = outcomes
-        .iter()
-        .filter_map(|&(t, _)| t.map(f64::from))
-        .collect();
-    let messages: f64 = outcomes.iter().map(|&(_, m)| m as f64).sum();
+    let model = UniformSingle { lifetime };
+    let run: AdaptiveRun<FloodFold> = run_adaptive(
+        &AdaptiveConfig::fixed(trials),
+        seed,
+        threads,
+        || Scratch::new(graph, lifetime),
+        |s, _, rng| {
+            s.redraw(&model, rng);
+            let out = flood(&s.tn, source);
+            (out.broadcast_time, out.messages)
+        },
+    );
+    let FloodFold(times, messages) = run.accumulator;
     FloodEstimate {
-        broadcast_times: Summary::from_samples(&times),
-        incomplete: trials - times.len(),
+        broadcast_times: times.accepted,
+        incomplete: times.rejected,
         mean_messages: messages / trials as f64,
         trials,
     }
@@ -298,12 +312,9 @@ mod tests {
         assert_eq!(a.trials, 12);
         assert_eq!(a.incomplete, 0, "the clique always floods");
         let ln_n = 64f64.ln();
-        assert!(
-            a.broadcast_times.mean <= 8.0 * ln_n,
-            "{}",
-            a.broadcast_times.mean
-        );
-        assert!(a.broadcast_times.mean >= 2.0);
+        let mean = a.broadcast_times.mean();
+        assert!(mean <= 8.0 * ln_n, "{mean}");
+        assert!(mean >= 2.0);
         assert!(a.mean_messages >= 63.0);
     }
 

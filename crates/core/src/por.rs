@@ -7,9 +7,10 @@
 //! `PoR(G) ≤ (2·d(G)·log n + ε)·m/(n−1)` in general (Theorem 8).
 
 use crate::opt::{best_scheme, opt_lower_bound};
-use crate::reachability_whp::{minimal_r, whp_target};
+use crate::reachability_whp::{minimal_r_search, probe, whp_target, ProbePool};
 use ephemeral_graph::algo::diameter;
 use ephemeral_graph::Graph;
+use ephemeral_parallel::adaptive::AdaptiveConfig;
 use ephemeral_parallel::Proportion;
 use ephemeral_temporal::Time;
 
@@ -57,7 +58,9 @@ pub struct PorReport {
     pub theorem8: f64,
 }
 
-/// Measure the PoR bracket of a connected graph.
+/// Measure the PoR bracket of a connected graph. The minimal `r` comes
+/// from the doubling-then-bisect search, every probe a fixed count of
+/// `trials` at seed `seed ^ (r << 32)`.
 ///
 /// Returns `None` for disconnected graphs (diameter undefined).
 ///
@@ -76,7 +79,11 @@ pub fn por_report(
     let d = diameter(graph)?;
     let lifetime = n.max(2) as Time;
     let target = whp_target(n);
-    let min_r = minimal_r(graph, lifetime, target, trials, seed, threads);
+    let (fixed, pool) = (AdaptiveConfig::fixed(trials), ProbePool::new());
+    let probe = probe(graph, lifetime, threads, &pool);
+    let min_r = minimal_r_search(target, |r| {
+        probe(r, &fixed, seed ^ ((r as u64) << 32)).proportion
+    });
     let scheme = best_scheme(graph)?;
     let opt_lower = opt_lower_bound(graph).max(1);
     let opt_upper = scheme.total_labels.max(1);

@@ -2,93 +2,32 @@
 //! with high probability* — how many random labels per edge until
 //! `P[T_reach] ≥ 1 − n^{−a}`?
 
-use crate::models::{LabelModel, UniformMulti};
+use crate::models::UniformMulti;
+use crate::scenario::Scratch;
 use ephemeral_graph::Graph;
 use ephemeral_parallel::adaptive::{
     adaptive_proportion_pooled_with, AdaptiveConfig, AdaptiveProportion, StatePool,
 };
-use ephemeral_parallel::{MonteCarlo, Proportion};
+use ephemeral_parallel::Proportion;
 use ephemeral_rng::SeedSequence;
-use ephemeral_temporal::session::QuerySession;
-use ephemeral_temporal::{LabelAssignment, Time};
+use ephemeral_temporal::reachability::StaticReach;
+use ephemeral_temporal::Time;
+
+/// Warm trial [`Scratch`]es shared across the probes of one
+/// `(graph, lifetime)`, so a minimal-`r` search builds at most `threads`
+/// of them instead of a network copy per candidate `r`.
+pub type ProbePool = StatePool<Scratch>;
 
 /// Monte Carlo estimate of `P[T_reach]` for `r` i.i.d. uniform labels per
-/// edge over `graph` with the given lifetime. Each worker owns one copy of
-/// the graph CSR and redraws labels into scratch buffers per trial; the
-/// `T_reach` check itself dispatches density-aware — 64 sources per pass
-/// through the batch engine below the crossover, a probe-first full-width
-/// sweep (wide or event-driven sparse by occupied-bucket fill) above it
-/// (see `ephemeral_temporal::sparse::EngineChoice`).
+/// edge over `graph` with the given lifetime: batches run until the Wilson
+/// half-width reaches the config's target or its cap (a fixed count is
+/// [`AdaptiveConfig::fixed`]), so probes at `p̂ ≈ 0` or `1` stop after a
+/// few batches. Each trial redraws the labels into its worker's
+/// [`Scratch`] and checks `T_reach` (64-lane probe, then the dispatched
+/// full-width engine) against one static oracle built for the call.
 ///
 /// # Panics
-/// If `r == 0`, `lifetime == 0` or `trials == 0`.
-#[must_use]
-pub fn treach_probability(
-    graph: &Graph,
-    lifetime: Time,
-    r: usize,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> Proportion {
-    assert!(r >= 1 && trials >= 1);
-    let model = UniformMulti { lifetime, r };
-    MonteCarlo::new(trials, seed)
-        .with_threads(threads)
-        .success_probability_with(
-            || ProbeState::new(graph, lifetime),
-            |state, _, rng| state.trial(&model, rng),
-        )
-}
-
-/// Per-worker scratch of a `T_reach` probe: a pinned [`QuerySession`]
-/// (network CSR, sweep scratch, lane buffers) plus a spare label buffer
-/// the model redraws into. One trial swaps the freshly drawn assignment
-/// in, runs the session's density-dispatched `T_reach` check, and keeps
-/// the displaced assignment as the next trial's spare — no allocation
-/// after warm-up.
-#[derive(Debug)]
-pub struct ProbeState {
-    session: QuerySession,
-    spare: LabelAssignment,
-}
-
-impl ProbeState {
-    fn new(graph: &Graph, lifetime: Time) -> Self {
-        Self {
-            session: QuerySession::new(crate::urtn::placeholder_network(graph, lifetime)),
-            spare: LabelAssignment::default(),
-        }
-    }
-
-    fn trial(&mut self, model: &UniformMulti, rng: &mut impl ephemeral_rng::RandomSource) -> bool {
-        let edges = self.session.network().graph().num_edges();
-        model.assign_into(edges, rng, &mut self.spare);
-        let drawn = std::mem::take(&mut self.spare);
-        self.spare = self
-            .session
-            .replace_assignment(drawn)
-            .expect("model labels fit the lifetime");
-        self.session.treach_holds()
-    }
-}
-
-/// Warm [`ProbeState`]s shared across adaptive runs: the per-`r` probes
-/// of [`minimal_r_adaptive`] draw from one of these, so the bisection
-/// builds at most `threads` sessions for the whole search instead of
-/// re-allocating network copies and sweep scratch per candidate `r`.
-/// States are only interchangeable across probes over the **same**
-/// `(graph, lifetime)` — use a fresh pool per instance.
-pub type ProbePool = StatePool<ProbeState>;
-
-/// [`treach_probability`] with adaptive trial allocation: batches run until
-/// the Wilson half-width reaches the config's target or its cap. At the
-/// extremes (`p̂ ≈ 0` or `1` — most probes of a minimal-`r` search) this
-/// stops after a few batches; only probes near the threshold pay for
-/// precision.
-///
-/// # Panics
-/// If `r == 0` or `lifetime == 0`.
+/// If `r == 0`, `lifetime == 0` or the config's trial cap is 0.
 #[must_use]
 pub fn treach_probability_adaptive(
     graph: &Graph,
@@ -101,16 +40,13 @@ pub fn treach_probability_adaptive(
     treach_probability_adaptive_pooled(graph, lifetime, r, cfg, seed, threads, &ProbePool::new())
 }
 
-/// [`treach_probability_adaptive`] drawing its per-worker
-/// [`ProbeState`]s from a caller-owned [`ProbePool`]. Identical numbers
-/// — a pooled session is fully reset by the per-trial assignment swap —
-/// but a caller probing many `r` over one instance (the bisection of
-/// [`minimal_r_adaptive`]) pays for network copies and sweep scratch
-/// once, not once per probe.
+/// [`treach_probability_adaptive`] drawing its scratches from a
+/// caller-owned [`ProbePool`]: identical numbers, as the per-trial redraw
+/// fully resets a pooled scratch.
 ///
 /// # Panics
-/// If `r == 0` or `lifetime == 0`, or if the pool holds states from a
-/// different `(graph, lifetime)` (edge counts then disagree).
+/// As [`treach_probability_adaptive`], or if the pool holds scratches of
+/// another `(graph, lifetime)`.
 #[must_use]
 pub fn treach_probability_adaptive_pooled(
     graph: &Graph,
@@ -121,16 +57,33 @@ pub fn treach_probability_adaptive_pooled(
     threads: usize,
     pool: &ProbePool,
 ) -> AdaptiveProportion {
-    assert!(r >= 1);
-    let model = UniformMulti { lifetime, r };
-    adaptive_proportion_pooled_with(
-        cfg,
-        seed,
-        threads,
-        pool,
-        || ProbeState::new(graph, lifetime),
-        |state, _, rng| state.trial(&model, rng),
-    )
+    probe(graph, lifetime, threads, pool)(r, cfg, seed)
+}
+
+/// The `T_reach` probe `(r, cfg, seed) ↦ P̂` of one instance: every probe
+/// draws scratches from `pool` and checks against one static oracle.
+pub(crate) fn probe<'a>(
+    graph: &'a Graph,
+    lifetime: Time,
+    threads: usize,
+    pool: &'a ProbePool,
+) -> impl Fn(usize, &AdaptiveConfig, u64) -> AdaptiveProportion + 'a {
+    let oracle = StaticReach::new(graph);
+    move |r, cfg, seed| {
+        assert!(r >= 1);
+        let model = UniformMulti { lifetime, r };
+        adaptive_proportion_pooled_with(
+            cfg,
+            seed,
+            threads,
+            pool,
+            || Scratch::new(graph, lifetime),
+            |s, _, rng| {
+                s.redraw(&model, rng);
+                s.treach(&oracle).0
+            },
+        )
+    }
 }
 
 /// Result of the minimal-`r` search.
@@ -147,80 +100,57 @@ pub struct MinimalR {
     pub target: f64,
 }
 
-/// Find the empirically minimal `r` with `P[T_reach] ≥ target`, by doubling
-/// followed by binary search (both on the Monte Carlo estimate; the answer
-/// is exact up to sampling noise at the threshold).
-///
-/// The search is capped at `r = 4096`; if even that fails the cap is
-/// returned (with its measured probability) so callers can see the failure.
-///
-/// # Panics
-/// If `target ∉ (0, 1]` or `trials == 0`.
-#[must_use]
-pub fn minimal_r(
-    graph: &Graph,
-    lifetime: Time,
+/// Largest `r` a minimal-`r` search probes.
+const R_CAP: usize = 4096;
+
+/// The one minimal-`r` search: double `r` from 1 until `probe(r)` meets
+/// `target` (capped at `r = 4096`), then bisect between the last failing
+/// and the first meeting `r` — both on the Monte Carlo estimate, so the
+/// answer is exact up to sampling noise at the threshold. If even the cap
+/// fails it is returned with its measured probability, so callers can see
+/// the failure. Panics unless `target ∈ (0, 1]`.
+pub(crate) fn minimal_r_search(
     target: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
+    mut probe: impl FnMut(usize) -> Proportion,
 ) -> MinimalR {
     assert!(target > 0.0 && target <= 1.0, "target must be in (0,1]");
-    assert!(trials >= 1);
     let mut evaluations = Vec::new();
-    let mut probe = |r: usize| -> Proportion {
-        let p = treach_probability(
-            graph,
-            lifetime,
-            r,
-            trials,
-            seed ^ ((r as u64) << 32),
-            threads,
-        );
+    let mut eval = |r: usize| {
+        let p = probe(r);
         evaluations.push((r, p.estimate));
         p
     };
-
     let mut hi = 1usize;
-    let mut hi_prob = probe(hi);
-    while hi_prob.estimate < target && hi < 4096 {
+    let mut hi_prob = eval(hi);
+    while hi_prob.estimate < target && hi < R_CAP {
         hi *= 2;
-        hi_prob = probe(hi);
+        hi_prob = eval(hi);
     }
-    if hi_prob.estimate < target {
-        return MinimalR {
-            r: hi,
-            probability: hi_prob,
-            evaluations,
-            target,
-        };
-    }
-    let mut lo = hi / 2; // exclusive: lo failed (or is 0)
-    let mut best = (hi, hi_prob);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        let p = probe(mid);
-        if p.estimate >= target {
-            hi = mid;
-            best = (mid, p);
-        } else {
-            lo = mid;
+    if hi_prob.estimate >= target {
+        let mut lo = hi / 2; // exclusive: lo failed (or is 0)
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            let p = eval(mid);
+            if p.estimate >= target {
+                hi = mid;
+                hi_prob = p;
+            } else {
+                lo = mid;
+            }
         }
     }
     MinimalR {
-        r: best.0,
-        probability: best.1,
+        r: hi,
+        probability: hi_prob,
         evaluations,
         target,
     }
 }
 
-/// [`minimal_r`] with adaptive trial allocation per probe: the doubling +
-/// binary search is unchanged, but each probed `r` runs only as many trials
-/// as its Wilson interval demands (per-probe seeds come from a
-/// [`SeedSequence`] stream keyed by `r`, so probes never share draws).
-/// One [`ProbePool`] spans the whole search, so the warm sessions built
-/// for the first probe serve every later candidate `r`.
+/// The minimal-`r` search with adaptive trial allocation per probe: each
+/// probed `r` runs only as many trials as its Wilson interval demands, at
+/// a seed from a [`SeedSequence`] stream keyed by `r` (probes never share
+/// draws). One [`ProbePool`] and one static oracle span the search.
 ///
 /// # Panics
 /// If `target ∉ (0, 1]`.
@@ -233,56 +163,10 @@ pub fn minimal_r_adaptive(
     seed: u64,
     threads: usize,
 ) -> MinimalR {
-    assert!(target > 0.0 && target <= 1.0, "target must be in (0,1]");
     let seq = SeedSequence::new(seed);
     let pool = ProbePool::new();
-    let mut evaluations = Vec::new();
-    let mut probe = |r: usize| -> Proportion {
-        let p = treach_probability_adaptive_pooled(
-            graph,
-            lifetime,
-            r,
-            cfg,
-            seq.derive(r as u64),
-            threads,
-            &pool,
-        );
-        evaluations.push((r, p.proportion.estimate));
-        p.proportion
-    };
-
-    let mut hi = 1usize;
-    let mut hi_prob = probe(hi);
-    while hi_prob.estimate < target && hi < 4096 {
-        hi *= 2;
-        hi_prob = probe(hi);
-    }
-    if hi_prob.estimate < target {
-        return MinimalR {
-            r: hi,
-            probability: hi_prob,
-            evaluations,
-            target,
-        };
-    }
-    let mut lo = hi / 2; // exclusive: lo failed (or is 0)
-    let mut best = (hi, hi_prob);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        let p = probe(mid);
-        if p.estimate >= target {
-            hi = mid;
-            best = (mid, p);
-        } else {
-            lo = mid;
-        }
-    }
-    MinimalR {
-        r: best.0,
-        probability: best.1,
-        evaluations,
-        target,
-    }
+    let probe = probe(graph, lifetime, threads, &pool);
+    minimal_r_search(target, |r| probe(r, cfg, seq.derive(r as u64)).proportion)
 }
 
 /// The paper's "with high probability" target for a given `n`: `1 − 1/n`
@@ -300,9 +184,10 @@ mod tests {
     #[test]
     fn clique_needs_one_label() {
         let g = generators::clique(10, false);
-        let p = treach_probability(&g, 10, 1, 50, 1, 2);
+        let fixed = AdaptiveConfig::fixed(50);
+        let p = treach_probability_adaptive(&g, 10, 1, &fixed, 1, 2).proportion;
         assert_eq!(p.estimate, 1.0, "cliques satisfy T_reach with any labels");
-        let res = minimal_r(&g, 10, 0.99, 50, 1, 2);
+        let res = minimal_r_adaptive(&g, 10, 0.99, &fixed, 1, 2);
         assert_eq!(res.r, 1);
         assert_eq!(res.evaluations.len(), 1);
     }
@@ -310,16 +195,17 @@ mod tests {
     #[test]
     fn path_needs_many_labels() {
         let g = generators::path(12);
-        let one = treach_probability(&g, 12, 1, 100, 2, 2);
+        let fixed = AdaptiveConfig::fixed(100);
+        let one = treach_probability_adaptive(&g, 12, 1, &fixed, 2, 2).proportion;
         assert!(one.estimate < 0.2, "{one}");
-        let many = treach_probability(&g, 12, 48, 100, 2, 2);
+        let many = treach_probability_adaptive(&g, 12, 48, &fixed, 2, 2).proportion;
         assert!(many.estimate > 0.8, "{many}");
     }
 
     #[test]
     fn minimal_r_finds_a_threshold() {
         let g = generators::star(32);
-        let res = minimal_r(&g, 32, 0.9, 150, 3, 2);
+        let res = minimal_r_adaptive(&g, 32, 0.9, &AdaptiveConfig::fixed(150), 3, 2);
         assert!(res.r >= 2, "one label cannot serve a star: {}", res.r);
         assert!(res.r <= 64, "threshold unexpectedly large: {}", res.r);
         assert!(res.probability.estimate >= 0.9);
@@ -335,8 +221,23 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(2, 3);
         let g = b.build().unwrap();
-        let res = minimal_r(&g, 4, 0.95, 50, 4, 1);
+        let res = minimal_r_adaptive(&g, 4, 0.95, &AdaptiveConfig::fixed(50), 4, 1);
         assert_eq!(res.r, 1, "single labels serve single edges");
+    }
+
+    #[test]
+    fn search_doubles_then_bisects_and_stops_at_the_cap() {
+        let at = |threshold: usize| move |r: usize| Proportion::new(usize::from(r >= threshold), 1);
+        let res = minimal_r_search(0.5, at(11));
+        let probed: Vec<usize> = res.evaluations.iter().map(|&(r, _)| r).collect();
+        assert_eq!(probed, [1, 2, 4, 8, 16, 12, 10, 11]);
+        assert_eq!((res.r, res.probability.estimate), (11, 1.0));
+        // Nothing meets the target: the doubling stops at the cap, which is
+        // returned with its failing estimate and never exceeded.
+        let res = minimal_r_search(0.5, at(usize::MAX));
+        assert_eq!(res.evaluations.len(), 13);
+        assert_eq!(res.evaluations.last(), Some(&(R_CAP, 0.0)));
+        assert_eq!((res.r, res.probability.estimate), (R_CAP, 0.0));
     }
 
     #[test]
@@ -392,7 +293,7 @@ mod tests {
             assert_eq!(pooled.proportion, fresh.proportion, "r = {r}");
             assert_eq!(pooled.half_width, fresh.half_width, "r = {r}");
         }
-        // The shared pool parked its warm sessions between probes instead
+        // The shared pool parked its warm scratches between probes instead
         // of rebuilding them: never more than `threads` states exist.
         let idle = pool.idle();
         assert!(
@@ -411,6 +312,6 @@ mod tests {
     #[should_panic(expected = "target must be in (0,1]")]
     fn bad_target_panics() {
         let g = generators::path(4);
-        let _ = minimal_r(&g, 4, 0.0, 10, 0, 1);
+        let _ = minimal_r_adaptive(&g, 4, 0.0, &AdaptiveConfig::fixed(10), 0, 1);
     }
 }

@@ -12,14 +12,14 @@
 //! thread count. The sweep engine in `ephemeral-bench` expands grids of
 //! these cells and streams resumable JSON-lines results.
 
+use crate::correlated::run_chains;
 use crate::models::{GeometricArrivals, LabelModel, UniformMulti, UniformSingle, ZipfMulti};
 use crate::urtn::placeholder_network;
-use ephemeral_graph::{generators, EdgeId, Graph};
+use ephemeral_graph::{generators, Graph};
 use ephemeral_parallel::adaptive::{
     run_adaptive, AdaptiveConfig, AdaptiveRun, FilteredMeanAccumulator, ProportionAccumulator,
 };
 use ephemeral_parallel::faults::CancelToken;
-use ephemeral_parallel::par_map_with;
 use ephemeral_rng::{DefaultRng, RandomSource, SeedSequence};
 use ephemeral_temporal::distance::instance_temporal_diameter_scratch_traced;
 use ephemeral_temporal::reachability::{treach_holds_scratch_with, StaticReach};
@@ -339,21 +339,24 @@ pub struct ScenarioOutcome {
     pub degraded: usize,
 }
 
-/// Per-worker trial scratch: an owned network whose labels are redrawn in
-/// place, the spare assignment the draw writes into, and every journey
-/// engine's sweeper (the density dispatch picks which full-width engine
-/// runs). The diameter metric reuses every buffer like
-/// `diameter::td_montecarlo` (zero warm-trial allocations). `T_reach`
-/// reuses the same buffers and reads its static counts from the cell's
-/// one shared [`StaticReach`], so a warm trial allocates nothing either.
-struct Scratch {
-    tn: TemporalNetwork,
+/// The one per-worker trial scratch of every Monte Carlo estimator: an
+/// owned network whose labels are redrawn in place, the spare assignment
+/// the draw writes into, and every journey engine's sweeper. Every trial
+/// and Gibbs chain reuses its buffers, so a warm trial allocates nothing
+/// (`tests/alloc_regression.rs`); `T_reach` reads its static counts from
+/// one [`StaticReach`] shared by every worker.
+#[derive(Debug)]
+pub struct Scratch {
+    pub(crate) tn: TemporalNetwork,
     spare: LabelAssignment,
-    sweeper: SweepScratch,
+    pub(crate) sweeper: SweepScratch,
 }
 
 impl Scratch {
-    fn new(graph: &Graph, lifetime: Time) -> Self {
+    /// A scratch over `graph` at `lifetime` (`> 0`), carrying placeholder
+    /// labels until the first [`Scratch::redraw`].
+    #[must_use]
+    pub fn new(graph: &Graph, lifetime: Time) -> Self {
         Self {
             tn: placeholder_network(graph, lifetime),
             spare: LabelAssignment::default(),
@@ -361,14 +364,23 @@ impl Scratch {
         }
     }
 
-    /// Swap a fresh draw from `model` into the network.
-    fn redraw(&mut self, model: &(dyn LabelModel + Send + Sync), rng: &mut DefaultRng) {
+    /// Swap a fresh draw from `model` (at the scratch's lifetime) into the
+    /// network. With [`UniformSingle`] this reads the same words as
+    /// [`resample_single_in_place`](crate::urtn::resample_single_in_place).
+    pub fn redraw(&mut self, model: &dyn LabelModel, rng: &mut DefaultRng) {
         model.assign_into(self.tn.graph().num_edges(), rng, &mut self.spare);
         let drawn = std::mem::take(&mut self.spare);
         self.spare = self
             .tn
             .replace_assignment(drawn)
             .expect("model labels fit the lifetime");
+    }
+
+    /// Does the drawn instance preserve static reachability (`T_reach`,
+    /// Definition 6)? `oracle` must be [`StaticReach::new`] of the
+    /// scratch's graph. Also reports the engine that actually answered.
+    pub fn treach(&mut self, oracle: &StaticReach) -> (bool, EngineKind) {
+        treach_holds_scratch_with(&self.tn, &mut self.sweeper, oracle)
     }
 }
 
@@ -526,8 +538,7 @@ impl Scenario {
                     run_adaptive(cfg, trial_seed, threads, init, |s, _, rng| {
                         arena.track(s, |s| {
                             s.redraw(model, rng);
-                            let (holds, engine) =
-                                treach_holds_scratch_with(&s.tn, &mut s.sweeper, &oracle);
+                            let (holds, engine) = s.treach(&oracle);
                             serve(engine);
                             holds
                         })
@@ -543,11 +554,15 @@ impl Scenario {
                 // while the 1,488 cursor applies take 104 ms.
                 let chains = cfg.batch.clamp(1, 16);
                 let steps = cfg.max_trials / chains;
-                let out = correlated_cell(
-                    &graph, model, lifetime, trial_seed, chains, steps, threads, &serve, &arena,
-                    &cancel,
-                );
-                delta_replayed_buckets = out.replayed;
+                let stream = SeedSequence::new(trial_seed);
+                let out = run_chains(&graph, model, chains, steps, threads, init, |s, c, run| {
+                    arena.track(s, |s| {
+                        let out = run(s, &mut stream.rng(c));
+                        serve(out.engine);
+                        out
+                    })
+                });
+                delta_replayed_buckets = out.replayed_buckets;
                 let converged = out.half_width <= cfg.target_half_width;
                 (out.estimate, out.half_width, out.samples, converged, 0.0)
             }
@@ -568,103 +583,6 @@ impl Scenario {
             compactions: arena.compactions.load(Ordering::Relaxed) as usize,
             degraded: arena.degraded.load(Ordering::Relaxed) as usize,
         }
-    }
-}
-
-/// The aggregate of one [`Metric::TreachCorrelated`] cell.
-struct CorrelatedCell {
-    estimate: f64,
-    half_width: f64,
-    samples: usize,
-    replayed: usize,
-}
-
-/// Evaluate one correlated cell: `chains` independent Gibbs chains, each
-/// seeded with a fresh draw from the cell's label model, recorded once
-/// into the pooled differential cursor and then driven by single-label
-/// moves — every step's `T_reach` sample is the O(1) comparison of the
-/// maintained reach total against the static target (journeys are
-/// paths, so total equality is per-source equality). Deterministic in
-/// `(graph, model, lifetime, trial_seed, chains, steps)` — never in
-/// `threads`: chain `c`'s rng stream is keyed by `c`.
-#[allow(clippy::too_many_arguments)]
-fn correlated_cell(
-    graph: &Graph,
-    model: &(dyn LabelModel + Send + Sync),
-    lifetime: Time,
-    trial_seed: u64,
-    chains: usize,
-    steps: usize,
-    threads: usize,
-    serve: &(impl Fn(EngineKind) + Sync),
-    arena: &ArenaAccounting,
-    cancel: &Option<CancelToken>,
-) -> CorrelatedCell {
-    let m = graph.num_edges();
-    if m == 0 {
-        // Nothing to label: temporal and static reach are both the
-        // diagonal, so T_reach holds vacuously and no chain runs.
-        return CorrelatedCell {
-            estimate: 1.0,
-            half_width: 0.0,
-            samples: 0,
-            replayed: 0,
-        };
-    }
-    let target = StaticReach::new(graph).total(graph);
-    let ids: Vec<u64> = (0..chains as u64).collect();
-    let init = || {
-        let mut s = Scratch::new(graph, lifetime);
-        s.sweeper.set_cancel_token(cancel.clone());
-        s
-    };
-    let per_chain = par_map_with(&ids, threads, init, |s, _, &c| {
-        arena.track(s, |s| {
-            let mut rng = SeedSequence::new(trial_seed).rng(c);
-            s.redraw(model, &mut rng);
-            let (stats, kind) = s.sweeper.record_delta(&s.tn);
-            serve(kind);
-            let mut hits = usize::from(stats.reached_bits == target);
-            let mut replayed = 0usize;
-            for _ in 0..steps {
-                // One Gibbs proposal: a uniform edge, a uniform label of it,
-                // a fresh uniform replacement. An edge whose model draw left
-                // it unlabelled rejects the proposal (nothing to move) and
-                // the unchanged state is sampled again — exactly like a
-                // colliding draw.
-                let e = rng.index(m) as EdgeId;
-                let labels = s.tn.labels(e);
-                if !labels.is_empty() {
-                    let from = labels[rng.index(labels.len())];
-                    let to = rng.range_u32(1, lifetime);
-                    if let Some(a) = s.sweeper.delta.apply_label_move(&mut s.tn, e, from, to) {
-                        replayed += a.replayed_buckets;
-                    }
-                }
-                hits += usize::from(s.sweeper.delta.stats().reached_bits == target);
-            }
-            (hits, replayed)
-        })
-    });
-    let samples_per_chain = steps + 1;
-    let means: Vec<f64> = per_chain
-        .iter()
-        .map(|&(h, _)| h as f64 / samples_per_chain as f64)
-        .collect();
-    let estimate = means.iter().sum::<f64>() / chains as f64;
-    // Between-chain standard error: honest under within-chain
-    // autocorrelation, since only independent chains enter the spread.
-    let half_width = if chains >= 2 {
-        let var = means.iter().map(|x| (x - estimate).powi(2)).sum::<f64>() / (chains - 1) as f64;
-        1.96 * (var / chains as f64).sqrt()
-    } else {
-        f64::INFINITY
-    };
-    CorrelatedCell {
-        estimate,
-        half_width,
-        samples: chains * samples_per_chain,
-        replayed: per_chain.iter().map(|&(_, r)| r).sum(),
     }
 }
 

@@ -12,7 +12,9 @@
 //! (via *2-split journeys*: first hop in `(0, n/2)`, second in `(n/2, n)`)
 //! and necessary, so the star's Price of Randomness is `Θ(log n)`.
 
-use ephemeral_parallel::{MonteCarlo, Proportion};
+use crate::reachability_whp::minimal_r_search;
+use ephemeral_parallel::adaptive::{adaptive_proportion, AdaptiveConfig};
+use ephemeral_parallel::Proportion;
 use ephemeral_rng::RandomSource;
 use ephemeral_temporal::Time;
 
@@ -108,7 +110,7 @@ pub fn star_treach_bruteforce(extremes: &[EdgeExtremes]) -> bool {
 /// ```
 ///
 /// # Panics
-/// If `n < 2` or `r == 0`.
+/// If `n < 2`, `r == 0` or `trials == 0`.
 #[must_use]
 pub fn star_treach_probability(
     n: usize,
@@ -121,16 +123,16 @@ pub fn star_treach_probability(
     assert!(r >= 1, "at least one label per edge");
     let leaves = n - 1;
     let lifetime = n as Time;
-    MonteCarlo::new(trials, seed)
-        .with_threads(threads)
-        .success_probability(move |_, rng| {
-            // Streaming top-2 tracking would need the same pass as
-            // star_treach; sampling extremes per edge is the dominant cost.
-            let extremes: Vec<EdgeExtremes> = (0..leaves)
-                .map(|_| sample_extremes(lifetime, r, rng))
-                .collect();
-            star_treach(&extremes)
-        })
+    let fixed = AdaptiveConfig::fixed(trials);
+    adaptive_proportion(&fixed, seed, threads, |_, rng| {
+        // Streaming top-2 tracking would need the same pass as
+        // star_treach; sampling extremes per edge is the dominant cost.
+        let extremes: Vec<EdgeExtremes> = (0..leaves)
+            .map(|_| sample_extremes(lifetime, r, rng))
+            .collect();
+        star_treach(&extremes)
+    })
+    .proportion
 }
 
 /// The probability that a fixed leaf pair admits a 2-split journey
@@ -150,34 +152,19 @@ pub fn star_failure_upper_bound(n: usize, r: usize) -> f64 {
 }
 
 /// Smallest `r` whose empirical `P[T_reach] ≥ target` on the normalized
-/// star, found by doubling + binary search on the Monte Carlo estimate.
+/// star, found by the doubling-then-bisect search of
+/// [`reachability_whp`](crate::reachability_whp), every probe a fixed
+/// count of `trials` at seed `seed ^ (r << 32)`. If even `r = 4096`
+/// fails, 4096 is returned.
 ///
 /// # Panics
 /// If `n < 2`, `trials == 0` or `target ∉ (0, 1]`.
 #[must_use]
 pub fn minimal_r_star(n: usize, target: f64, trials: usize, seed: u64, threads: usize) -> usize {
-    assert!(n >= 2 && trials > 0);
-    assert!(target > 0.0 && target <= 1.0, "target must be in (0,1]");
-    let meets = |r: usize| -> bool {
-        star_treach_probability(n, r, trials, seed ^ (r as u64) << 32, threads).estimate >= target
-    };
-    let mut hi = 1usize;
-    while !meets(hi) {
-        hi *= 2;
-        if hi > 4096 {
-            return hi; // give up growing; caller sees the cap
-        }
-    }
-    let mut lo = hi / 2; // exclusive lower bound (hi == 1 ⇒ lo == 0)
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if meets(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
+    minimal_r_search(target, |r| {
+        star_treach_probability(n, r, trials, seed ^ ((r as u64) << 32), threads)
+    })
+    .r
 }
 
 #[cfg(test)]

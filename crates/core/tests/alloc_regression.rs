@@ -197,7 +197,7 @@ fn warm_montecarlo_trials_do_not_allocate() {
     );
 
     // The dispatching scratch path above the crossover — what
-    // `td_montecarlo` and `Scenario::evaluate` actually run per trial at
+    // `td_montecarlo_adaptive` and `Scenario::evaluate` actually run per trial at
     // large n: resample in place, then `instance_temporal_diameter_scratch`
     // (wide engine, cache-blocked schedule via the allocation-free
     // `block_schedule` iterator).
@@ -401,17 +401,17 @@ fn warm_montecarlo_trials_do_not_allocate() {
          (saw {during} allocations in 50 rounds)"
     );
 
-    // The pooled bisection probes: `minimal_r_adaptive` threads one
-    // `ProbePool` of warm `QuerySession`s through every candidate `r`,
-    // so only the first probe pays for the session (network copy, sweep
-    // scratch, static oracle). The adaptive driver itself allocates per
-    // batch (its sample vectors), so the check is comparative rather than
-    // zero: probing five candidates from a warm pool must beat five cold
-    // probes by at least two sessions' worth of allocations (it saves
-    // ~five).
+    // The pooled bisection probes: a minimal-`r` search threads one
+    // `ProbePool` of warm trial scratches through every candidate `r`,
+    // so only the first probe pays for the scratch (network copy, sweep
+    // buffers). The adaptive runner itself allocates per batch (its
+    // sample vectors) and each probe builds its static oracle, so the
+    // check is comparative rather than zero: probing five candidates from
+    // a warm pool must beat five cold probes by at least two scratches'
+    // worth of allocations (it saves ~five).
     use ephemeral_core::reachability_whp::{treach_probability_adaptive_pooled, ProbePool};
+    use ephemeral_core::scenario::Scratch;
     use ephemeral_parallel::adaptive::AdaptiveConfig;
-    use ephemeral_temporal::session::QuerySession;
     let probe_graph = generators::star(64);
     let cfg = AdaptiveConfig::new(0.5)
         .with_min_trials(4)
@@ -419,15 +419,15 @@ fn warm_montecarlo_trials_do_not_allocate() {
         .with_max_trials(4);
     let candidates = [1usize, 2, 3, 5, 8];
     let pool = ProbePool::new();
-    // Warm-up run parks the single worker's session (and its spare label
+    // Warm-up run parks the single worker's scratch (and its spare label
     // buffer, sized for the largest candidate) in the shared pool.
     let _ = treach_probability_adaptive_pooled(&probe_graph, 64, 8, &cfg, 5, 1, &pool);
     assert_eq!(pool.idle(), 1, "the lone worker pools its probe state");
     let before = allocations();
-    let session_build = QuerySession::new(placeholder_network(&probe_graph, 64));
+    let scratch_build = Scratch::new(&probe_graph, 64);
     let build_cost = allocations() - before;
-    drop(session_build);
-    assert!(build_cost > 0, "building a session visibly allocates");
+    drop(scratch_build);
+    assert!(build_cost > 0, "building a trial scratch visibly allocates");
     let run_probes = |pooled: bool| {
         let mut estimates = 0.0;
         for r in candidates {
@@ -468,8 +468,8 @@ fn warm_montecarlo_trials_do_not_allocate() {
     );
     assert!(
         pooled_allocs + 2 * build_cost <= cold_allocs,
-        "warm pooled probes must skip the per-candidate session rebuild \
-         (pooled {pooled_allocs}, cold {cold_allocs}, one session costs \
+        "warm pooled probes must skip the per-candidate scratch rebuild \
+         (pooled {pooled_allocs}, cold {cold_allocs}, one scratch costs \
          {build_cost} allocations)"
     );
 }

@@ -4,10 +4,11 @@
 use ephemeral_core::dissemination::flood;
 use ephemeral_core::expansion::{expansion_process, ExpansionParams};
 use ephemeral_core::models::{LabelModel, UniformSingle};
-use ephemeral_core::reachability_whp::treach_probability;
+use ephemeral_core::reachability_whp::treach_probability_adaptive;
 use ephemeral_core::star::{star_treach, EdgeExtremes};
 use ephemeral_core::urtn::{sample_urt_clique_with_lifetime, sample_urtn};
 use ephemeral_graph::generators;
+use ephemeral_parallel::adaptive::AdaptiveConfig;
 use ephemeral_rng::default_rng;
 use ephemeral_temporal::reachability::treach_holds;
 use ephemeral_temporal::{LabelAssignment, TemporalNetwork};
@@ -118,8 +119,8 @@ fn star_check_extremes_of_extremes() {
 fn treach_probability_on_trivial_graphs_is_one() {
     // A single edge: one label suffices in both directions (undirected).
     let g = generators::path(2);
-    let p = treach_probability(&g, 4, 1, 30, 3, 1);
-    assert_eq!(p.estimate, 1.0);
+    let p = treach_probability_adaptive(&g, 4, 1, &AdaptiveConfig::fixed(30), 3, 1);
+    assert_eq!(p.proportion.estimate, 1.0);
 }
 
 #[test]

@@ -44,33 +44,6 @@ pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
     dist
 }
 
-/// BFS predecessor array: `parents[v]` is the BFS-tree parent of `v`, or
-/// [`crate::INVALID_NODE`] for the source and unreached nodes.
-///
-/// # Panics
-/// If `source >= g.num_nodes()`.
-#[must_use]
-pub fn bfs_parents(g: &Graph, source: NodeId) -> Vec<NodeId> {
-    let n = g.num_nodes();
-    assert!((source as usize) < n, "source {source} out of range");
-    let mut parent = vec![crate::INVALID_NODE; n];
-    let mut visited = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    visited[source as usize] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let (neighbors, _) = g.out_adjacency(u);
-        for &v in neighbors {
-            if !visited[v as usize] {
-                visited[v as usize] = true;
-                parent[v as usize] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    parent
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,22 +91,6 @@ mod tests {
         let g = generators::path(3);
         let d = multi_source_bfs(&g, &[0, 0]);
         assert_eq!(d, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn parents_trace_back_to_source() {
-        let g = generators::grid(3, 3);
-        let parent = bfs_parents(&g, 0);
-        assert_eq!(parent[0], crate::INVALID_NODE);
-        // Every non-source node reaches 0 by following parents.
-        for mut v in 1..9u32 {
-            let mut hops = 0;
-            while v != 0 {
-                v = parent[v as usize];
-                hops += 1;
-                assert!(hops <= 9, "cycle in parent array");
-            }
-        }
     }
 
     #[test]

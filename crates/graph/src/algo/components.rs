@@ -56,20 +56,6 @@ pub fn is_connected(g: &Graph) -> bool {
     g.num_nodes() <= 1 || connected_components(g).count == 1
 }
 
-/// Size of the largest (weak) component; 0 for the empty graph.
-#[must_use]
-pub fn largest_component_size(g: &Graph) -> usize {
-    if g.num_nodes() == 0 {
-        return 0;
-    }
-    connected_components(g)
-        .sizes
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +83,6 @@ mod tests {
         assert_eq!(c.sizes, vec![3, 2]);
         assert_eq!(c.labels[0], c.labels[2]);
         assert_ne!(c.labels[0], c.labels[3]);
-        assert_eq!(largest_component_size(&g), 3);
         assert!(!is_connected(&g));
     }
 
@@ -117,10 +102,6 @@ mod tests {
         assert!(is_connected(
             &GraphBuilder::new_undirected(1).build().unwrap()
         ));
-        assert_eq!(
-            largest_component_size(&GraphBuilder::new_undirected(0).build().unwrap()),
-            0
-        );
     }
 
     #[test]

@@ -6,8 +6,8 @@ mod diameter;
 mod spanning;
 mod unionfind;
 
-pub use bfs::{bfs_distances, bfs_parents, multi_source_bfs, UNREACHABLE};
-pub use components::{connected_components, is_connected, largest_component_size, Components};
+pub use bfs::{bfs_distances, multi_source_bfs, UNREACHABLE};
+pub use components::{connected_components, is_connected, Components};
 pub use diameter::{diameter, eccentricity, two_sweep_lower_bound};
 pub use spanning::{bfs_tree, SpanningTree};
 pub use unionfind::UnionFind;

@@ -1,14 +1,17 @@
-//! Adaptive (CI-driven) Monte Carlo: run trials in fixed-size batches and
-//! stop as soon as the confidence interval is tight enough — or a trial cap
-//! is hit — instead of hard-coding a trial count per experiment cell.
+//! The Monte Carlo trial runner: run trials in fixed-size batches and stop
+//! as soon as the confidence interval is tight enough — or a trial cap is
+//! hit — instead of hard-coding a trial count per experiment cell. A fixed
+//! count is the config whose stopping rule never fires
+//! ([`AdaptiveConfig::fixed`]), so fixed-count and adaptive estimates
+//! share one runner, [`run_adaptive`].
 //!
-//! Determinism contract (the same one [`MonteCarlo`](crate::MonteCarlo)
-//! upholds): trial `i` always draws from the generator derived from
-//! `(seed, i)`, samples are folded into the accumulator **in trial order**
-//! on the coordinating thread, and the stopping rule is evaluated only at
-//! fixed batch boundaries taken from [`AdaptiveConfig`]. The result is
-//! therefore bit-identical no matter how many worker threads execute the
-//! batches — the property the sweep engine's resumable output relies on.
+//! Determinism contract: trial `i` always draws from the generator
+//! `SeedSequence::new(seed).rng(i)`, samples are folded into the
+//! accumulator **in trial order** on the coordinating thread, and the
+//! stopping rule is evaluated only at fixed batch boundaries taken from
+//! [`AdaptiveConfig`]. The result is therefore bit-identical no matter how
+//! many worker threads execute the batches — the property every table and
+//! the sweep engine's resumable output rely on.
 
 use crate::faults::{self, site, WorkerPanic};
 use crate::montecarlo::Proportion;
@@ -48,6 +51,19 @@ impl AdaptiveConfig {
             min_trials: 16,
             max_trials: 4096,
             batch: 32,
+        }
+    }
+
+    /// Exactly `trials` trials in one batch (one parallel region): the
+    /// stopping rule never fires before the cap, and with no precision
+    /// target (`+∞`) every run reports `converged`.
+    #[must_use]
+    pub const fn fixed(trials: usize) -> Self {
+        Self {
+            target_half_width: f64::INFINITY,
+            min_trials: trials,
+            max_trials: trials,
+            batch: trials,
         }
     }
 
@@ -211,10 +227,10 @@ pub struct AdaptiveRun<A> {
 /// runners ([`try_run_adaptive_pooled`],
 /// [`adaptive_proportion_pooled_with`]). Within one run, states already
 /// pool across batch boundaries; sharing a `StatePool` additionally
-/// carries them across *runs* — `minimal_r`'s per-candidate-`r` probes,
-/// a sweep grid's cells over one family — so a sequence of runs on
-/// `threads` workers builds at most `threads` states total instead of
-/// `threads` per run. The pool never validates what it holds: only share
+/// carries them across *runs* — the per-candidate-`r` probes of a
+/// minimal-`r` search, a sweep grid's cells over one family — so a
+/// sequence of runs on `threads` workers builds at most `threads` states
+/// total instead of `threads` per run. The pool never validates what it holds: only share
 /// one across runs whose `init`/`sim` pairs accept each other's states.
 #[derive(Debug)]
 pub struct StatePool<S> {
@@ -263,11 +279,12 @@ impl<S> Drop for PooledState<'_, S> {
 
 /// Run batches of trials until `accumulator.half_width()` (95%) drops
 /// to the target or `max_trials` is reached. `init()` builds per-worker
-/// scratch state exactly as in
-/// [`MonteCarlo::run_with`](crate::MonteCarlo::run_with); `sim` receives
-/// the scratch, the global trial index and the trial's own generator.
-/// States are pooled across batch boundaries: at most `threads` are ever
-/// built per run, however many batches the stopping rule takes.
+/// scratch state, reused across that worker's trials, so it must only
+/// hold reusable allocations (label buffers, sweep frontiers), never data
+/// carried between trials; `sim` receives the scratch, the global trial
+/// index and the trial's own generator. States are pooled across batch
+/// boundaries: at most `threads` are ever built per run, however many
+/// batches the stopping rule takes.
 ///
 /// Deterministic: the executed trial count and every reported number depend
 /// only on `(cfg, seed)`, never on `threads`.
@@ -323,9 +340,10 @@ where
 }
 
 /// [`try_run_adaptive`] drawing scratch states from (and returning them
-/// to) a **caller-owned** pool, so a sequence of runs — `minimal_r`'s
-/// per-candidate-`r` probes, a sweep grid's cells over one family —
-/// reuses the same warm states instead of paying `init()` again per run.
+/// to) a **caller-owned** pool, so a sequence of runs — the
+/// per-candidate-`r` probes of a minimal-`r` search, a sweep grid's cells
+/// over one family — reuses the same warm states instead of paying
+/// `init()` again per run.
 /// The pool is consulted before `init`: pass an empty pool for the old
 /// behaviour. States poisoned by a panicking trial are dropped, never
 /// re-pooled, exactly as in [`try_run_adaptive`].
@@ -352,8 +370,8 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut DefaultRng) -> A::Sample + Sync,
 {
-    assert!(cfg.batch >= 1, "batch size must be positive");
     assert!(cfg.max_trials >= 1, "trial cap must be positive");
+    assert!(cfg.batch >= 1, "batch size must be positive");
     let pool = &pool.states;
     let seq = SeedSequence::new(seed);
     let mut accumulator = A::default();
@@ -694,8 +712,8 @@ mod tests {
     #[test]
     fn caller_owned_pool_spans_runs_without_changing_results() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // A shared pool across a *sequence* of runs (minimal_r's per-r
-        // probes) must build at most `threads` states total, and must
+        // A shared pool across a *sequence* of runs (a minimal-r search's
+        // per-r probes) must build at most `threads` states total, and must
         // not perturb any reported number versus per-run local pools.
         let inits = AtomicUsize::new(0);
         let threads = 3;
@@ -741,6 +759,15 @@ mod tests {
             .with_max_trials(10);
         let est = adaptive_mean(&cfg, 12, 2, |_, rng| rng.unit_f64());
         assert_eq!(est.trials, 10);
+    }
+
+    #[test]
+    fn fixed_count_runs_exactly_that_many_trials_in_one_batch() {
+        let cfg = AdaptiveConfig::fixed(37);
+        assert_eq!((cfg.min_trials, cfg.max_trials, cfg.batch), (37, 37, 37));
+        let est = adaptive_mean(&cfg, 14, 2, |_, rng| rng.unit_f64());
+        assert_eq!(est.trials, 37);
+        assert!(est.converged, "a fixed count has no precision target");
     }
 
     #[test]

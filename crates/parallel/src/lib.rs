@@ -14,17 +14,18 @@
 //!   across a Monte Carlo loop without reallocating.
 //! * [`ThreadPool`]: a persistent worker pool on crossbeam channels for
 //!   irregular task sets.
-//! * [`MonteCarlo`]: the deterministic experiment runner. Trial `i` always
-//!   receives the generator derived from `(experiment seed, i)`, so results
-//!   are **bit-identical no matter how many threads run the experiment** —
-//!   the property every number in EXPERIMENTS.md relies on.
-//! * [`adaptive`]: CI-driven trial allocation on top of the same contract —
-//!   batches run until the normal/Wilson interval half-width hits a target
-//!   (or a cap), so trials are spent only where variance demands them. The
-//!   executed trial count itself is deterministic and thread-invariant.
-//! * [`stats`]: Welford online moments (mergeable, so parallel reductions
-//!   are exact), summaries with quantiles, normal & Wilson confidence
-//!   intervals, least-squares fits (used to fit `TD ≈ γ·log n`), histograms.
+//! * [`adaptive`]: the one Monte Carlo trial runner. Trial `i` always
+//!   receives the generator derived from `(seed, i)` and samples fold in
+//!   trial order, so results are **bit-identical no matter how many
+//!   threads run the experiment** — the property every number in
+//!   EXPERIMENTS.md relies on. Batches run until the normal/Wilson
+//!   interval half-width hits a target (or a cap), so trials are spent
+//!   only where variance demands them; a fixed count is the config whose
+//!   stopping rule never fires. The executed trial count itself is
+//!   deterministic and thread-invariant.
+//! * [`stats`]: Welford online moments, summaries with quantiles, normal &
+//!   Wilson confidence intervals, least-squares fits (used to fit
+//!   `TD ≈ γ·log n`).
 //! * [`faults`]: deterministic fault injection and cooperative
 //!   cancellation — a seeded failpoint registry (`faults::site` catalog,
 //!   [`FaultSchedule`](faults::FaultSchedule) derived from `SeedSequence`
@@ -32,21 +33,20 @@
 //!   structured [`WorkerPanic`] error the `try_` entry
 //!   points return, and [`CancelToken`], the
 //!   bucket-boundary watchdog behind the sweep grid's `--cell-timeout`.
-//! * [`try_par_map`] / [`try_par_map_with`] / [`try_par_for_with`] /
+//! * [`try_par_map`] / [`try_par_map_with`] /
 //!   [`adaptive::try_run_adaptive`]: panic-isolated variants — item panics
 //!   are caught, the queue drains, poisoned scratch is discarded, and the
 //!   smallest failing index surfaces as a deterministic structured error.
 //!
 //! ```
-//! use ephemeral_parallel::MonteCarlo;
+//! use ephemeral_parallel::adaptive::{adaptive_mean, AdaptiveConfig};
 //!
 //! // Estimate E[max of 3 dice] with 10_000 deterministic trials.
-//! let mc = MonteCarlo::new(10_000, 42);
-//! let summary = mc.run_summary(|_, rng| {
+//! let est = adaptive_mean(&AdaptiveConfig::fixed(10_000), 42, 2, |_, rng| {
 //!     use ephemeral_rng::RandomSource;
 //!     (0..3).map(|_| rng.bounded_u64(6) + 1).max().unwrap() as f64
 //! });
-//! assert!((summary.mean - 4.96).abs() < 0.05);
+//! assert!((est.stats.mean() - 4.96).abs() < 0.05);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,8 +59,8 @@ mod pool;
 pub mod stats;
 
 pub use faults::{CancelToken, WorkerPanic};
-pub use montecarlo::{MonteCarlo, Proportion};
+pub use montecarlo::Proportion;
 pub use pool::{
-    available_threads, par_for, par_for_with, par_map, par_map_with, try_par_for_with, try_par_map,
-    try_par_map_with, PoolClosed, ThreadPool,
+    available_threads, par_for, par_for_with, par_map, par_map_with, try_par_map, try_par_map_with,
+    PoolClosed, ThreadPool,
 };

@@ -1,106 +1,10 @@
-//! The deterministic Monte Carlo experiment runner.
+//! Fixed-count Monte Carlo: the [`Proportion`] every success-probability
+//! estimate reports. A fixed count is an adaptive run whose stopping rule
+//! never fires ([`AdaptiveConfig::fixed`](crate::adaptive::AdaptiveConfig::fixed)),
+//! so it keeps the runner's determinism contract: trial `i` draws from
+//! `SeedSequence::new(seed).rng(i)` and samples fold in trial order.
 
-use crate::pool::{available_threads, par_for, par_for_with};
-use crate::stats::{wilson_interval, Summary};
-use ephemeral_rng::{DefaultRng, SeedSequence};
-
-/// Runs `trials` independent simulations with per-trial derived seeds.
-///
-/// Determinism contract: the generator handed to trial `i` depends only on
-/// `(seed, i)`, never on thread scheduling, so every reported number is
-/// reproducible with `MonteCarlo::new(trials, seed)` regardless of the
-/// machine's core count.
-#[derive(Debug, Clone, Copy)]
-pub struct MonteCarlo {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Experiment master seed.
-    pub seed: u64,
-    /// Worker threads (defaults to the machine's available parallelism).
-    pub threads: usize,
-}
-
-impl MonteCarlo {
-    /// `trials` trials rooted at `seed`, on all available cores.
-    #[must_use]
-    pub fn new(trials: usize, seed: u64) -> Self {
-        Self {
-            trials,
-            seed,
-            threads: available_threads(),
-        }
-    }
-
-    /// Override the thread count (1 = sequential).
-    #[must_use]
-    pub const fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Run `sim(trial_index, rng)` for every trial; results in trial order.
-    pub fn run<R, F>(&self, sim: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut DefaultRng) -> R + Sync,
-    {
-        let seq = SeedSequence::new(self.seed);
-        par_for(self.trials, self.threads, |i| {
-            let mut rng = seq.rng(i as u64);
-            sim(i, &mut rng)
-        })
-    }
-
-    /// [`MonteCarlo::run`] with per-worker scratch state: `init()` is called
-    /// once per worker thread and the state is handed to every trial that
-    /// worker executes. The determinism contract is unchanged — trial `i`
-    /// still draws from the generator derived from `(seed, i)` — so the
-    /// state must only be used for reusable allocations (scratch label
-    /// draws, sweep frontiers), never to carry data between trials.
-    pub fn run_with<S, R, I, F>(&self, init: I, sim: F) -> Vec<R>
-    where
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &mut DefaultRng) -> R + Sync,
-    {
-        let seq = SeedSequence::new(self.seed);
-        par_for_with(self.trials, self.threads, init, |state, i| {
-            let mut rng = seq.rng(i as u64);
-            sim(state, i, &mut rng)
-        })
-    }
-
-    /// Run a real-valued simulation and summarise the samples.
-    pub fn run_summary<F>(&self, sim: F) -> Summary
-    where
-        F: Fn(usize, &mut DefaultRng) -> f64 + Sync,
-    {
-        Summary::from_samples(&self.run(sim))
-    }
-
-    /// Run a boolean simulation and report the empirical success
-    /// probability with a 95% Wilson interval.
-    pub fn success_probability<F>(&self, sim: F) -> Proportion
-    where
-        F: Fn(usize, &mut DefaultRng) -> bool + Sync,
-    {
-        let outcomes = self.run(sim);
-        let successes = outcomes.iter().filter(|&&b| b).count();
-        Proportion::new(successes, outcomes.len())
-    }
-
-    /// [`MonteCarlo::success_probability`] with per-worker scratch state
-    /// (see [`MonteCarlo::run_with`]).
-    pub fn success_probability_with<S, I, F>(&self, init: I, sim: F) -> Proportion
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &mut DefaultRng) -> bool + Sync,
-    {
-        let outcomes = self.run_with(init, sim);
-        let successes = outcomes.iter().filter(|&&b| b).count();
-        Proportion::new(successes, outcomes.len())
-    }
-}
+use crate::stats::wilson_interval;
 
 /// An empirical proportion with its 95% Wilson score interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,25 +54,64 @@ impl std::fmt::Display for Proportion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ephemeral_rng::RandomSource;
+    use crate::adaptive::{
+        adaptive_mean, adaptive_proportion, adaptive_proportion_with, run_adaptive,
+        AdaptiveAccumulator, AdaptiveConfig, AdaptiveRun,
+    };
+    use ephemeral_rng::{DefaultRng, RandomSource};
+
+    /// Every sample in trial order: the raw output of a fixed-count run.
+    #[derive(Default)]
+    struct Samples(Vec<u64>);
+
+    impl AdaptiveAccumulator for Samples {
+        type Sample = u64;
+
+        fn push(&mut self, sample: u64) {
+            self.0.push(sample);
+        }
+
+        fn trials(&self) -> usize {
+            self.0.len()
+        }
+
+        fn half_width(&self) -> f64 {
+            f64::INFINITY
+        }
+    }
+
+    fn run<F>(trials: usize, seed: u64, threads: usize, sim: F) -> Vec<u64>
+    where
+        F: Fn(usize, &mut DefaultRng) -> u64 + Sync,
+    {
+        let run: AdaptiveRun<Samples> = run_adaptive(
+            &AdaptiveConfig::fixed(trials),
+            seed,
+            threads,
+            || (),
+            |(), i, rng| sim(i, rng),
+        );
+        assert_eq!(run.trials, trials);
+        run.accumulator.0
+    }
 
     #[test]
     fn results_are_in_trial_order_and_deterministic() {
-        let mc = MonteCarlo::new(100, 7);
-        let a = mc.run(|i, rng| (i as u64) ^ rng.next_u64());
-        let b = mc.run(|i, rng| (i as u64) ^ rng.next_u64());
+        let a = run(100, 7, 2, |i, rng| (i as u64) ^ rng.next_u64());
+        let b = run(100, 7, 2, |i, rng| (i as u64) ^ rng.next_u64());
         assert_eq!(a, b);
+        // Trial i draws from the generator derived from (seed, i).
+        let seq = ephemeral_rng::SeedSequence::new(7);
+        for (i, &x) in a.iter().enumerate() {
+            assert_eq!(x, (i as u64) ^ seq.rng(i as u64).next_u64(), "trial {i}");
+        }
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let base: Vec<u64> = MonteCarlo::new(500, 11)
-            .with_threads(1)
-            .run(|_, rng| rng.next_u64());
+        let base = run(500, 11, 1, |_, rng| rng.next_u64());
         for threads in [2, 4, 16] {
-            let other = MonteCarlo::new(500, 11)
-                .with_threads(threads)
-                .run(|_, rng| rng.next_u64());
+            let other = run(500, 11, threads, |_, rng| rng.next_u64());
             assert_eq!(base, other, "threads={threads}");
         }
     }
@@ -177,48 +120,52 @@ mod tests {
     fn run_with_matches_run_and_is_thread_invariant() {
         // A stateful run whose state is pure scratch must reproduce the
         // stateless run bit-for-bit, at any thread count.
-        let base: Vec<u64> = MonteCarlo::new(300, 21)
-            .with_threads(1)
-            .run(|i, rng| (i as u64).wrapping_mul(rng.next_u64()));
+        let base = run(300, 21, 1, |i, rng| (i as u64).wrapping_mul(rng.next_u64()));
         for threads in [1, 3, 8] {
-            let stateful = MonteCarlo::new(300, 21).with_threads(threads).run_with(
+            let stateful: AdaptiveRun<Samples> = run_adaptive(
+                &AdaptiveConfig::fixed(300),
+                21,
+                threads,
                 Vec::<u64>::new,
                 |scratch, i, rng| {
                     scratch.push(i as u64); // grows per worker; must not matter
                     (i as u64).wrapping_mul(rng.next_u64())
                 },
             );
-            assert_eq!(base, stateful, "threads={threads}");
+            assert_eq!(base, stateful.accumulator.0, "threads={threads}");
         }
     }
 
     #[test]
     fn success_probability_with_matches_stateless() {
-        let stateless = MonteCarlo::new(2_000, 5).success_probability(|_, rng| rng.bernoulli(0.4));
-        let stateful = MonteCarlo::new(2_000, 5)
-            .success_probability_with(|| 0u8, |_, _, rng| rng.bernoulli(0.4));
+        let cfg = AdaptiveConfig::fixed(2_000);
+        let stateless = adaptive_proportion(&cfg, 5, 2, |_, rng| rng.bernoulli(0.4));
+        let stateful = adaptive_proportion_with(&cfg, 5, 2, || 0u8, |_, _, rng| rng.bernoulli(0.4));
         assert_eq!(stateless, stateful);
     }
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let a = MonteCarlo::new(50, 1).run(|_, rng| rng.next_u64());
-        let b = MonteCarlo::new(50, 2).run(|_, rng| rng.next_u64());
+        let a = run(50, 1, 2, |_, rng| rng.next_u64());
+        let b = run(50, 2, 2, |_, rng| rng.next_u64());
         assert_ne!(a, b);
     }
 
     #[test]
     fn summary_of_uniform_mean() {
-        let mc = MonteCarlo::new(20_000, 3);
-        let s = mc.run_summary(|_, rng| rng.unit_f64());
-        assert!((s.mean - 0.5).abs() < 0.01, "mean {}", s.mean);
-        assert!((s.sd - (1.0f64 / 12.0).sqrt()).abs() < 0.01);
+        let s = adaptive_mean(&AdaptiveConfig::fixed(20_000), 3, 2, |_, rng| {
+            rng.unit_f64()
+        })
+        .stats;
+        assert_eq!(s.count(), 20_000);
+        assert!((s.mean() - 0.5).abs() < 0.01, "mean {}", s.mean());
+        assert!((s.sd() - (1.0f64 / 12.0).sqrt()).abs() < 0.01);
     }
 
     #[test]
     fn success_probability_wilson_covers_truth() {
-        let mc = MonteCarlo::new(5_000, 9);
-        let p = mc.success_probability(|_, rng| rng.bernoulli(0.25));
+        let cfg = AdaptiveConfig::fixed(5_000);
+        let p = adaptive_proportion(&cfg, 9, 2, |_, rng| rng.bernoulli(0.25)).proportion;
         assert!((p.estimate - 0.25).abs() < 0.03, "{p}");
         assert!(p.lo <= 0.25 && 0.25 <= p.hi, "{p}");
         assert_eq!(p.trials, 5_000);

@@ -214,22 +214,6 @@ where
     Ok(result)
 }
 
-/// Panic-isolated [`par_for_with`] (see [`try_par_map_with`]).
-pub fn try_par_for_with<S, R, I, F>(
-    count: usize,
-    threads: usize,
-    init: I,
-    f: F,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..count).collect();
-    try_par_map_with(&indices, threads, init, |state, _, &i| f(state, i))
-}
-
 /// Parallel `for i in 0..count { f(i) }` returning results in index order.
 pub fn par_for<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
 where
@@ -655,12 +639,6 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.index, 9, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn try_par_for_with_empty_is_ok() {
-        let out = try_par_for_with(0, 4, || (), |(), i| i).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]

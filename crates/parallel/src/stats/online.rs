@@ -1,12 +1,10 @@
-//! Welford online moments with exact parallel merging (Chan et al.).
+//! Welford online moments.
 
 use super::ci::z_for_confidence;
 
-/// Streaming mean/variance/extrema accumulator.
-///
-/// `merge` implements the numerically stable pairwise-combination formula,
-/// so per-thread accumulators can be reduced without bias — the reduction
-/// used by the parallel Monte Carlo paths.
+/// Streaming mean/variance/extrema accumulator. The Monte Carlo runner
+/// folds samples into one of these in trial order, so every moment is
+/// bit-identical at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
@@ -43,27 +41,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Absorb every sample of another accumulator (exact, order-insensitive
-    /// up to floating-point rounding).
-    pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples.
@@ -199,68 +176,5 @@ mod tests {
         assert!((wide / narrow - 10f64.sqrt()).abs() < 0.2);
         // Higher confidence widens the interval.
         assert!(s.half_width(0.99) > s.half_width(0.95));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..317] {
-            left.push(x);
-        }
-        for &x in &xs[317..] {
-            right.push(x);
-        }
-        let mut merged = left;
-        merged.merge(&right);
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-10);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        s.push(2.0);
-        let snapshot = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s, snapshot);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&snapshot);
-        assert_eq!(empty, snapshot);
-    }
-
-    #[test]
-    fn merge_is_associative_enough() {
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let mut c = OnlineStats::new();
-        for i in 0..30 {
-            a.push(f64::from(i));
-        }
-        for i in 30..60 {
-            b.push(f64::from(i));
-        }
-        for i in 60..90 {
-            c.push(f64::from(i));
-        }
-        let mut ab_c = a;
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut a_bc = a;
-        a_bc.merge(&bc);
-        assert!((ab_c.mean() - a_bc.mean()).abs() < 1e-10);
-        assert!((ab_c.variance() - a_bc.variance()).abs() < 1e-9);
     }
 }

@@ -5,8 +5,12 @@
 //! execute, never what those trials see. This is what makes every number in
 //! the experiment tables reproducible on any machine.
 
-use ephemeral_parallel::adaptive::{adaptive_mean, adaptive_proportion, AdaptiveConfig};
-use ephemeral_parallel::{available_threads, MonteCarlo};
+use ephemeral_parallel::adaptive::{
+    adaptive_mean, adaptive_proportion, run_adaptive, AdaptiveAccumulator, AdaptiveConfig,
+    AdaptiveRun,
+};
+use ephemeral_parallel::available_threads;
+use ephemeral_parallel::stats::Summary;
 use ephemeral_rng::{RandomSource, SeedSequence};
 
 /// A small but non-trivial simulation: a random walk whose step count and
@@ -20,17 +24,55 @@ fn walk(trial: usize, rng: &mut ephemeral_rng::DefaultRng) -> f64 {
     position
 }
 
+/// Every sample in trial order: the raw output of a fixed-count run.
+struct Samples<T>(Vec<T>);
+
+impl<T> Default for Samples<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T: Send> AdaptiveAccumulator for Samples<T> {
+    type Sample = T;
+
+    fn push(&mut self, sample: T) {
+        self.0.push(sample);
+    }
+
+    fn trials(&self) -> usize {
+        self.0.len()
+    }
+
+    fn half_width(&self) -> f64 {
+        f64::INFINITY
+    }
+}
+
+/// `trials` fixed-count trials of `sim` on `threads` workers, in trial order.
+fn fixed_run<T: Send>(
+    trials: usize,
+    seed: u64,
+    threads: usize,
+    sim: impl Fn(usize, &mut ephemeral_rng::DefaultRng) -> T + Sync,
+) -> Vec<T> {
+    let run: AdaptiveRun<Samples<T>> = run_adaptive(
+        &AdaptiveConfig::fixed(trials),
+        seed,
+        threads,
+        || (),
+        |(), i, rng| sim(i, rng),
+    );
+    run.accumulator.0
+}
+
 #[test]
 fn summaries_are_bit_identical_across_thread_counts() {
     let trials = 1003; // deliberately not a multiple of any block size
     let seed = 0xA11CE;
 
-    let sequential = MonteCarlo::new(trials, seed)
-        .with_threads(1)
-        .run_summary(walk);
-    let parallel = MonteCarlo::new(trials, seed)
-        .with_threads(available_threads())
-        .run_summary(walk);
+    let sequential = Summary::from_samples(&fixed_run(trials, seed, 1, walk));
+    let parallel = Summary::from_samples(&fixed_run(trials, seed, available_threads(), walk));
 
     // PartialEq would accept -0.0 == 0.0; compare raw bits to rule out even
     // that much divergence.
@@ -52,13 +94,13 @@ fn summaries_are_bit_identical_across_thread_counts() {
 #[test]
 fn raw_trial_outputs_are_identical_across_thread_counts() {
     let seed = 2014;
-    let one = MonteCarlo::new(257, seed)
-        .with_threads(1)
-        .run(|i, rng| (i as u64).wrapping_add(rng.next_u64()));
+    let one = fixed_run(257, seed, 1, |i, rng| {
+        (i as u64).wrapping_add(rng.next_u64())
+    });
     for threads in [2, 3, available_threads().max(2)] {
-        let many = MonteCarlo::new(257, seed)
-            .with_threads(threads)
-            .run(|i, rng| (i as u64).wrapping_add(rng.next_u64()));
+        let many = fixed_run(257, seed, threads, |i, rng| {
+            (i as u64).wrapping_add(rng.next_u64())
+        });
         assert_eq!(one, many, "threads={threads}");
     }
 }
@@ -97,7 +139,7 @@ fn adaptive_estimates_are_identical_across_1_2_and_8_threads() {
 
 /// Golden values locking in the `SeedSequence::derive` construction.
 ///
-/// `MonteCarlo` hands trial `i` the generator `SeedSequence::new(seed).rng(i)`;
+/// `run_adaptive` hands trial `i` the generator `SeedSequence::new(seed).rng(i)`;
 /// if the derivation in `crates/rng/src/seeds.rs` changes, every published
 /// experiment number silently changes with it. These constants make that
 /// loud instead. Update them ONLY with a changelog entry declaring the
@@ -118,7 +160,7 @@ fn seed_derivation_contract_is_frozen() {
          published experiment numbers"
     );
 
-    // The first output of each trial generator, as MonteCarlo consumes it.
+    // The first output of each trial generator, as the runner hands it out.
     let firsts: Vec<u64> = (0..3).map(|i| seq.rng(i).next_u64()).collect();
     assert_eq!(
         firsts,

@@ -1,9 +1,43 @@
 //! Property-based tests for the parallel substrate and statistics.
 
-use ephemeral_parallel::stats::{quantile_sorted, OnlineStats, Summary};
-use ephemeral_parallel::{par_map, MonteCarlo};
+use ephemeral_parallel::adaptive::{
+    run_adaptive, AdaptiveAccumulator, AdaptiveConfig, AdaptiveRun,
+};
+use ephemeral_parallel::par_map;
+use ephemeral_parallel::stats::{quantile_sorted, Summary};
 use ephemeral_rng::RandomSource;
 use proptest::prelude::*;
+
+/// Every sample in trial order: the raw output of a fixed-count run.
+#[derive(Default)]
+struct Samples(Vec<u64>);
+
+impl AdaptiveAccumulator for Samples {
+    type Sample = u64;
+
+    fn push(&mut self, sample: u64) {
+        self.0.push(sample);
+    }
+
+    fn trials(&self) -> usize {
+        self.0.len()
+    }
+
+    fn half_width(&self) -> f64 {
+        f64::INFINITY
+    }
+}
+
+fn fixed_run(trials: usize, seed: u64, threads: usize) -> Vec<u64> {
+    let run: AdaptiveRun<Samples> = run_adaptive(
+        &AdaptiveConfig::fixed(trials),
+        seed,
+        threads,
+        || (),
+        |(), i, rng| rng.next_u64() ^ (i as u64),
+    );
+    run.accumulator.0
+}
 
 proptest! {
     #[test]
@@ -18,35 +52,6 @@ proptest! {
             .collect();
         let par = par_map(&items, threads, |i, &x| u64::from(x) * 3 + i as u64);
         prop_assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn online_stats_merge_any_split(
-        xs in prop::collection::vec(-1e6f64..1e6, 2..200),
-        split_frac in 0.0f64..=1.0,
-    ) {
-        let split = ((xs.len() as f64) * split_frac) as usize;
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..split] {
-            left.push(x);
-        }
-        for &x in &xs[split..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!(
-            (left.variance() - whole.variance()).abs()
-                <= 1e-5 * (1.0 + whole.variance().abs())
-        );
-        prop_assert_eq!(left.min(), whole.min());
-        prop_assert_eq!(left.max(), whole.max());
     }
 
     #[test]
@@ -74,13 +79,7 @@ proptest! {
 
     #[test]
     fn monte_carlo_thread_invariance(trials in 1usize..200, seed: u64) {
-        let one = MonteCarlo::new(trials, seed)
-            .with_threads(1)
-            .run(|i, rng| rng.next_u64() ^ (i as u64));
-        let many = MonteCarlo::new(trials, seed)
-            .with_threads(5)
-            .run(|i, rng| rng.next_u64() ^ (i as u64));
-        prop_assert_eq!(one, many);
+        prop_assert_eq!(fixed_run(trials, seed, 1), fixed_run(trials, seed, 5));
     }
 
     #[test]

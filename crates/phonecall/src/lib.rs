@@ -27,5 +27,5 @@
 mod push;
 mod pushpull;
 
-pub use push::{push_broadcast, push_broadcast_on_graph, push_broadcast_with_memory, PushOutcome};
+pub use push::{push_broadcast, PushOutcome};
 pub use pushpull::{push_pull_broadcast, PushPullOutcome};

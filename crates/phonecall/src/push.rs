@@ -1,7 +1,5 @@
 //! The push protocol (Demers et al.; Frieze–Grimmett analysis).
 
-use ephemeral_graph::Graph;
-use ephemeral_rng::sample::shuffle;
 use ephemeral_rng::RandomSource;
 
 /// Result of a push broadcast.
@@ -60,114 +58,9 @@ pub fn push_broadcast(
     }
 }
 
-/// Push with per-node memory (Berenbrink et al. / Elsässer–Sauerwald): each
-/// node remembers whom it already called and never repeats a partner,
-/// i.e. it walks a random permutation of the other nodes. Reduces duplicate
-/// deliveries, hence total transmissions, at the cost of `O(n)` memory per
-/// node (here: a shuffled contact list).
-///
-/// # Panics
-/// If `n == 0` or `source >= n`.
-#[must_use]
-pub fn push_broadcast_with_memory(
-    n: usize,
-    source: usize,
-    max_rounds: u32,
-    rng: &mut impl RandomSource,
-) -> PushOutcome {
-    assert!(n > 0 && source < n, "bad source/size");
-    let mut informed = vec![false; n];
-    informed[source] = true;
-    let mut informed_list: Vec<u32> = vec![source as u32];
-    // Lazily built shuffled contact lists + cursors.
-    let mut contacts: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut cursor: Vec<usize> = vec![0; n];
-    let mut messages = 0u64;
-    let mut rounds = 0u32;
-    while informed_list.len() < n && rounds < max_rounds {
-        rounds += 1;
-        let mut fresh: Vec<u32> = Vec::new();
-        for &u in &informed_list {
-            let u = u as usize;
-            if contacts[u].is_empty() {
-                let mut list: Vec<u32> = (0..n as u32).filter(|&v| v != u as u32).collect();
-                shuffle(&mut list, rng);
-                contacts[u] = list;
-            }
-            if cursor[u] >= contacts[u].len() {
-                continue; // exhausted everyone
-            }
-            let v = contacts[u][cursor[u]];
-            cursor[u] += 1;
-            messages += 1;
-            if !informed[v as usize] {
-                informed[v as usize] = true;
-                fresh.push(v);
-            }
-        }
-        informed_list.extend(fresh);
-    }
-    PushOutcome {
-        rounds,
-        messages,
-        informed: informed_list.len(),
-        complete: informed_list.len() == n,
-    }
-}
-
-/// Synchronous push on an arbitrary graph: informed nodes call a uniform
-/// random neighbour. Nodes with no neighbours stay silent.
-///
-/// # Panics
-/// If the graph is empty or `source` is out of range.
-#[must_use]
-pub fn push_broadcast_on_graph(
-    g: &Graph,
-    source: u32,
-    max_rounds: u32,
-    rng: &mut impl RandomSource,
-) -> PushOutcome {
-    let n = g.num_nodes();
-    assert!(n > 0 && (source as usize) < n, "bad source/size");
-    let mut informed = vec![false; n];
-    informed[source as usize] = true;
-    let mut informed_list: Vec<u32> = vec![source];
-    let mut messages = 0u64;
-    let mut rounds = 0u32;
-    while informed_list.len() < n && rounds < max_rounds {
-        rounds += 1;
-        let mut fresh: Vec<u32> = Vec::new();
-        let mut progress = false;
-        for &u in &informed_list {
-            let (nbrs, _) = g.out_adjacency(u);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let v = nbrs[rng.index(nbrs.len())];
-            messages += 1;
-            progress = true;
-            if !informed[v as usize] {
-                informed[v as usize] = true;
-                fresh.push(v);
-            }
-        }
-        informed_list.extend(fresh);
-        if !progress {
-            break;
-        }
-    }
-    PushOutcome {
-        rounds,
-        messages,
-        informed: informed_list.len(),
-        complete: informed_list.len() == n,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ephemeral_graph::generators;
     use ephemeral_rng::default_rng;
 
     #[test]
@@ -208,61 +101,6 @@ mod tests {
         assert!(out.complete);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.messages, 0);
-    }
-
-    #[test]
-    fn memory_variant_is_no_worse_and_avoids_repeats() {
-        // Memory only forbids repeat *partners*; most duplicate deliveries
-        // in push go to already-informed (but different) nodes, so the
-        // total is statistically close to plain push — check a modest band
-        // rather than strict dominance, plus the structural guarantee that
-        // no node ever exceeds n−1 calls.
-        let mut rng = default_rng(4);
-        let n = 512;
-        let mut plain_total = 0u64;
-        let mut memory_total = 0u64;
-        for _ in 0..10 {
-            plain_total += push_broadcast(n, 0, 10_000, &mut rng).messages;
-            let out = push_broadcast_with_memory(n, 0, 10_000, &mut rng);
-            assert!(out.complete);
-            memory_total += out.messages;
-        }
-        assert!(
-            memory_total as f64 <= plain_total as f64 * 1.2,
-            "memory {memory_total} vs plain {plain_total}"
-        );
-    }
-
-    #[test]
-    fn memory_variant_completes() {
-        let mut rng = default_rng(5);
-        let out = push_broadcast_with_memory(256, 3, 10_000, &mut rng);
-        assert!(out.complete);
-    }
-
-    #[test]
-    fn graph_push_respects_topology() {
-        let mut rng = default_rng(6);
-        // On a path the rumor spreads at most one hop per round per end.
-        let g = generators::path(32);
-        let out = push_broadcast_on_graph(&g, 0, 10_000, &mut rng);
-        assert!(out.complete);
-        assert!(
-            out.rounds >= 31,
-            "needs ≥ n−1 rounds from an end: {}",
-            out.rounds
-        );
-    }
-
-    #[test]
-    fn graph_push_on_disconnected_graph_stops() {
-        let mut b = ephemeral_graph::GraphBuilder::new_undirected(3);
-        b.add_edge(0, 1);
-        let g = b.build().unwrap();
-        let mut rng = default_rng(7);
-        let out = push_broadcast_on_graph(&g, 0, 1000, &mut rng);
-        assert!(!out.complete);
-        assert_eq!(out.informed, 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   for seed derivation and as a tiny standalone generator.
 //! * [`Xoshiro256PlusPlus`]: Blackman & Vigna's xoshiro256++ 1.0, the
 //!   workhorse generator (fast, 256-bit state, passes BigCrush), with the
-//!   standard `jump`/`long_jump` sub-sequence machinery for parallel streams.
+//!   standard `jump` sub-sequence machinery for parallel streams.
 //! * [`RandomSource`]: the minimal trait the rest of the workspace programs
 //!   against (uniform integers via Lemire's method, floats, Bernoulli).
 //! * [`distr`]: the distribution samplers the paper's experiments need —

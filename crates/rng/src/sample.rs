@@ -63,16 +63,6 @@ pub fn sample_indices(n: usize, k: usize, rng: &mut impl RandomSource) -> Vec<us
     }
 }
 
-/// Uniformly choose one element of a slice (`None` on empty).
-#[must_use]
-pub fn choose<'a, T>(items: &'a [T], rng: &mut impl RandomSource) -> Option<&'a T> {
-    if items.is_empty() {
-        None
-    } else {
-        Some(&items[rng.index(items.len())])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,17 +163,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             let frac = f64::from(c) / TRIALS as f64;
             assert!((frac - 0.02).abs() < 0.006, "index {i}: {frac}");
-        }
-    }
-
-    #[test]
-    fn choose_contract() {
-        let mut r = rng();
-        let empty: [u8; 0] = [];
-        assert!(choose(&empty, &mut r).is_none());
-        let items = [10, 20, 30];
-        for _ in 0..32 {
-            assert!(items.contains(choose(&items, &mut r).unwrap()));
         }
     }
 }

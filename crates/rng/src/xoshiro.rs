@@ -7,9 +7,8 @@ use crate::splitmix::SplitMix64;
 /// xoshiro256++ 1.0: the workspace's default generator.
 ///
 /// 256 bits of state, period `2²⁵⁶ − 1`, passes BigCrush and PractRand.
-/// `jump()` advances by `2¹²⁸` steps and `long_jump()` by `2¹⁹²`, which
-/// yields up to `2¹²⁸` non-overlapping parallel sub-sequences — more than
-/// enough for the workspace's parallel Monte Carlo runner.
+/// `jump()` advances by `2¹²⁸` steps, which yields up to `2¹²⁸`
+/// non-overlapping parallel sub-sequences.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
@@ -91,16 +90,6 @@ impl Xoshiro256PlusPlus {
             0x39AB_DC45_29B1_661C,
         ]);
     }
-
-    /// Advance by `2¹⁹²` steps (reference `long_jump()` polynomial).
-    pub fn long_jump(&mut self) {
-        self.polynomial_jump([
-            0x76E1_5D3E_FEFD_CBBF,
-            0xC500_4E44_1C52_2FB3,
-            0x7771_0069_854E_E241,
-            0x3910_9BB0_2ACB_E635,
-        ]);
-    }
 }
 
 impl RandomSource for Xoshiro256PlusPlus {
@@ -161,16 +150,6 @@ mod tests {
         b.jump();
         let collisions = (0..1024).filter(|_| a.next() == b.next()).count();
         assert_eq!(collisions, 0);
-    }
-
-    #[test]
-    fn long_jump_differs_from_jump() {
-        let base = Xoshiro256PlusPlus::seed_from_u64(7);
-        let mut j = base.clone();
-        j.jump();
-        let mut lj = base.clone();
-        lj.long_jump();
-        assert_ne!(j.state(), lj.state());
     }
 
     #[test]

@@ -443,8 +443,8 @@ impl DeltaCursor {
         Some(self.replay(tn, mv))
     }
 
-    /// Replay the walk from `mv.earliest()` against the
-    /// already-mutated `tn`, processing only perturbed buckets.
+    /// Replay the walk from the earlier of the move's two times against
+    /// the already-mutated `tn`, processing only perturbed buckets.
     fn replay(&mut self, tn: &TemporalNetwork, mv: LabelMove) -> DeltaApply {
         let t_hi = mv.latest();
         let width = self.width;

@@ -117,13 +117,6 @@ impl Journey {
         self.edges[self.edges.len() - 1].time
     }
 
-    /// `arrival − departure + 1`: the number of time steps the journey
-    /// spans, inclusive (1 for a single hop).
-    #[must_use]
-    pub fn duration(&self) -> Time {
-        self.arrival() - self.departure() + 1
-    }
-
     /// Number of edges traversed.
     #[must_use]
     pub fn hops(&self) -> usize {
@@ -185,7 +178,6 @@ mod tests {
         assert_eq!(j.target(), 2);
         assert_eq!(j.departure(), 2);
         assert_eq!(j.arrival(), 6);
-        assert_eq!(j.duration(), 5);
         assert_eq!(j.hops(), 3);
         assert_eq!(j.vertices(), vec![0, 1, 3, 2]);
     }

@@ -68,13 +68,6 @@ pub struct LabelMove {
 }
 
 impl LabelMove {
-    /// The earlier of the two affected times — the first bucket whose
-    /// contents change, hence where a differential replay must restart.
-    #[must_use]
-    pub fn earliest(&self) -> Time {
-        self.from.min(self.to)
-    }
-
     /// The later of the two affected times — past it the bucket sequence
     /// is identical to the pre-move network again.
     #[must_use]
@@ -643,13 +636,13 @@ mod tests {
                 to: 4
             }
         );
-        assert_eq!((mv.earliest(), mv.latest()), (2, 4));
+        assert_eq!(mv.latest(), 4);
         assert_eq!(tn.labels(1), &[4]);
         assert_matches_fresh_rebuild(&tn);
         assert_eq!(tn.occupied_times(), &[1, 3, 4], "bucket 2 emptied");
         // Downward, multi-label edge: move 0's label 3 to 2.
         let mv = tn.move_label(0, 3, 2).unwrap();
-        assert_eq!((mv.earliest(), mv.latest()), (2, 3));
+        assert_eq!(mv.latest(), 3);
         assert_eq!(tn.labels(0), &[1, 2]);
         assert_matches_fresh_rebuild(&tn);
         // Long-distance hole propagation across empty buckets.

@@ -110,9 +110,9 @@ fn wide_reach_counts<S: FrontierEngine>(
 /// The static side of `T_reach` (Definition 6) for one substrate graph:
 /// how many vertices each source reaches by a path, itself included.
 ///
-/// Labels never change the graph, so a Monte Carlo cell, a query session
-/// or a Gibbs chain builds one oracle per substrate and shares it across
-/// every trial and worker. Undirected graphs answer from one union–find
+/// Labels never change the graph, so a Monte Carlo call, a minimal-`r`
+/// search or a Gibbs chain builds one oracle per substrate and shares it
+/// across every trial and worker. Undirected graphs answer from one union–find
 /// pass (component size = reach count). Directed graphs run one BFS per
 /// source the first time that source is asked for, and keep its count in
 /// an atomic slot (0 = not yet searched; a count is never 0, since a

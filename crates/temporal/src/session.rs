@@ -34,10 +34,9 @@
 use crate::delta::DeltaApply;
 use crate::engine::{BatchSweeper, Lane, SweepStats, MAX_LANES};
 use crate::network::TemporalNetwork;
-use crate::reachability::{treach_holds_scratch_with, StaticReach};
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{EngineKind, FrontierEngine, SweepScratch, WIDE_CROSSOVER};
-use crate::{LabelAssignment, TemporalError, Time, NEVER};
+use crate::{Time, NEVER};
 use ephemeral_graph::algo::{connected_components, Components};
 use ephemeral_graph::{EdgeId, NodeId};
 use ephemeral_parallel::faults::CancelToken;
@@ -153,10 +152,6 @@ pub struct QuerySession {
     /// lane, and same-component lanes retire once their frontier
     /// saturates the component.
     components: Option<Components>,
-    /// The static side of `T_reach`, built by the first
-    /// [`QuerySession::treach_holds`] for the same reason: the graph
-    /// outlives every assignment the session sees.
-    static_reach: Option<StaticReach>,
     lanes: Vec<Lane>,
     lane_arrivals: Vec<Time>,
     lane_slots: Vec<usize>,
@@ -168,19 +163,11 @@ impl QuerySession {
     /// engine buffers, subsequent batches reuse them.
     #[must_use]
     pub fn new(tn: TemporalNetwork) -> Self {
-        Self::from_parts(tn, SweepScratch::new())
-    }
-
-    /// Pin `tn` resident reusing an existing scratch bundle (a pooled
-    /// session slot). The cursor is treated as stale.
-    #[must_use]
-    pub fn from_parts(tn: TemporalNetwork, scratch: SweepScratch) -> Self {
         Self {
             tn,
-            scratch,
+            scratch: SweepScratch::new(),
             cursor_live: false,
             components: None,
-            static_reach: None,
             lanes: Vec::new(),
             lane_arrivals: Vec::new(),
             lane_slots: Vec::new(),
@@ -444,34 +431,6 @@ impl QuerySession {
             .apply_label_move(&mut self.tn, e, from, to)
     }
 
-    /// Swap in a freshly drawn assignment (returning the displaced one
-    /// for the caller's buffer pool) and invalidate the cursor — the
-    /// Monte Carlo per-trial path of `ephemeral-core`, now running
-    /// against pooled session scratch.
-    ///
-    /// # Errors
-    /// As [`TemporalNetwork::replace_assignment`]: the drawn assignment
-    /// must cover the same edges within the same lifetime.
-    pub fn replace_assignment(
-        &mut self,
-        drawn: LabelAssignment,
-    ) -> Result<LabelAssignment, TemporalError> {
-        self.cursor_live = false;
-        self.tn.replace_assignment(drawn)
-    }
-
-    /// Does the resident assignment preserve static reachability
-    /// (`T_reach`, Definition 6)? Sequential, against the session's own
-    /// pooled scratch and its one [`StaticReach`] oracle — the probe path
-    /// of `minimal_r_adaptive`, where a warm check allocates nothing.
-    #[must_use]
-    pub fn treach_holds(&mut self) -> bool {
-        let oracle = self
-            .static_reach
-            .get_or_insert_with(|| StaticReach::new(self.tn.graph()));
-        treach_holds_scratch_with(&self.tn, &mut self.scratch, oracle).0
-    }
-
     /// Drop the cursor (answers fall back to lane passes). The serve
     /// layer calls this when a panic unwinds out of a cursor apply: the
     /// network's own move completed before the replay started, so only
@@ -486,12 +445,6 @@ impl QuerySession {
     pub fn reset_scratch(&mut self) {
         self.scratch = SweepScratch::new();
         self.cursor_live = false;
-    }
-
-    /// Deconstruct into the resident network and scratch bundle.
-    #[must_use]
-    pub fn into_parts(self) -> (TemporalNetwork, SweepScratch) {
-        (self.tn, self.scratch)
     }
 }
 
@@ -590,6 +543,7 @@ pub fn block_all_reached(
 mod tests {
     use super::*;
     use crate::foremost::{foremost, foremost_with_horizon};
+    use crate::LabelAssignment;
     use ephemeral_graph::generators;
     use ephemeral_rng::{RandomSource, SeedSequence};
 
@@ -722,23 +676,6 @@ mod tests {
         }
         assert_eq!(session.stats().dispatched_rows, 2);
         assert_eq!(session.stats().lane_passes, 1);
-    }
-
-    #[test]
-    fn replace_assignment_invalidates_the_cursor() {
-        let (n, lifetime) = (30, 40);
-        let mut session = QuerySession::new(random_network(7, n, lifetime));
-        session.record_cursor();
-        let m = session.network().assignment().num_edges();
-        let mut rng = SeedSequence::new(8).rng(0);
-        let drawn = LabelAssignment::from_fn(m, |_| vec![rng.range_u32(1, lifetime)]).unwrap();
-        let _old = session.replace_assignment(drawn).unwrap();
-        assert!(!session.cursor_live());
-        let queries = mixed_queries(9, n, lifetime, 20);
-        let answers = session.answer_batch(&queries);
-        for (q, a) in queries.iter().zip(&answers) {
-            assert_eq!(*a, oracle(session.network(), q), "query {q:?}");
-        }
     }
 
     #[test]

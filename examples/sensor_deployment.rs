@@ -11,9 +11,10 @@
 
 use ephemeral_networks::core::opt;
 use ephemeral_networks::core::por::{por_report, theorem7_r};
-use ephemeral_networks::core::reachability_whp::{treach_probability, whp_target};
+use ephemeral_networks::core::reachability_whp::{treach_probability_adaptive, whp_target};
 use ephemeral_networks::graph::algo::diameter;
 use ephemeral_networks::graph::generators;
+use ephemeral_networks::parallel::adaptive::AdaptiveConfig;
 
 fn main() {
     // A 12×12 sensor grid: 144 motes, diameter 22.
@@ -29,7 +30,8 @@ fn main() {
     // Sweep the per-link slot budget.
     println!("\n r (slots/link) | P[T_reach] (95% Wilson)");
     for r in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let p = treach_probability(&g, n as u32, r, 60, 99, 4);
+        let p = treach_probability_adaptive(&g, n as u32, r, &AdaptiveConfig::fixed(60), 99, 4);
+        let p = p.proportion;
         println!("{r:>15} | {p}");
     }
     println!(

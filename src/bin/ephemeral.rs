@@ -13,12 +13,13 @@
 //! `grid:RxC`, `torus:RxC`, `hypercube:D`, `tree:N` (random),
 //! `gnp:N:P` (Erdős–Rényi).
 
-use ephemeral_networks::core::diameter::td_montecarlo;
+use ephemeral_networks::core::diameter::td_montecarlo_adaptive;
 use ephemeral_networks::core::dissemination::{flood, flood_oracle_clique};
 use ephemeral_networks::core::por::por_report;
-use ephemeral_networks::core::reachability_whp::treach_probability;
+use ephemeral_networks::core::reachability_whp::treach_probability_adaptive;
 use ephemeral_networks::core::urtn::{sample_multi_urtn, sample_urtn};
 use ephemeral_networks::graph::{dot, generators, Graph};
+use ephemeral_networks::parallel::adaptive::AdaptiveConfig;
 use ephemeral_networks::parallel::available_threads;
 use ephemeral_networks::rng::default_rng;
 use ephemeral_networks::temporal::metrics::temporal_metrics;
@@ -180,14 +181,20 @@ fn run() -> Result<(), String> {
             let g = parse_graph(spec, true, seed)?;
             let lifetime: u32 = args.positive("--lifetime", g.num_nodes().max(1) as u32)?;
             let trials: usize = args.positive("--trials", 20)?;
-            let est = td_montecarlo(&g, lifetime, trials, seed, threads);
+            let fixed = AdaptiveConfig::fixed(trials);
+            let est = td_montecarlo_adaptive(&g, lifetime, &fixed, seed, threads);
+            let finite = est.finite;
+            // With no finite instance the extremes read 0, not ±∞.
+            let (min, max) = if finite.count() == 0 {
+                (0.0, 0.0)
+            } else {
+                (finite.min(), finite.max())
+            };
             println!(
-                "TD({spec}, a={lifetime}) over {trials} trials: mean {:.2} (sd {:.2}, min {} max {}), \
+                "TD({spec}, a={lifetime}) over {trials} trials: mean {:.2} (sd {:.2}, min {min} max {max}), \
                  TD/ln n = {:.3}, infinite instances: {}",
-                est.finite.mean,
-                est.finite.sd,
-                est.finite.min,
-                est.finite.max,
+                finite.mean(),
+                finite.sd(),
                 est.gamma_ln,
                 est.infinite_instances
             );
@@ -223,7 +230,8 @@ fn run() -> Result<(), String> {
             let r: usize = args.positive("--r", 8)?;
             let trials: usize = args.positive("--trials", 100)?;
             let lifetime = g.num_nodes().max(2) as u32;
-            let p = treach_probability(&g, lifetime, r, trials, seed, threads);
+            let fixed = AdaptiveConfig::fixed(trials);
+            let p = treach_probability_adaptive(&g, lifetime, r, &fixed, seed, threads).proportion;
             println!("P[T_reach]({spec}, r={r}) = {p}");
         }
         "por" => {

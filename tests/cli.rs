@@ -44,6 +44,17 @@ fn diameter_subcommand_produces_estimate() {
     assert!(ok);
     assert!(stdout.contains("mean"), "{stdout}");
     assert!(stdout.contains("infinite instances: 0"), "{stdout}");
+    // Every single-label path instance misses a pair: no finite sample,
+    // so the extremes must print as 0, never as ±inf.
+    let (ok, stdout, _) = run(&[
+        "diameter", "--graph", "path:16", "--trials", "5", "--seed", "1",
+    ]);
+    assert!(ok);
+    assert_eq!(
+        stdout.trim_end(),
+        "TD(path:16, a=16) over 5 trials: mean 0.00 (sd 0.00, min 0 max 0), \
+         TD/ln n = 0.000, infinite instances: 5"
+    );
 }
 
 #[test]
