@@ -1,7 +1,7 @@
 //! # ephemeral-bench
 //!
 //! The experiment harness that regenerates every quantitative claim of the
-//! paper (see DESIGN.md §4 for the experiment ↔ theorem map):
+//! paper; each experiment maps to the claim it checks:
 //!
 //! | id | claim |
 //! |----|-------|

@@ -94,10 +94,12 @@ impl SweepSpec {
 
     /// A small smoke grid (the `--quick` preset and the CI gate). The
     /// sizes straddle the crossover so the quick grid's rows report all
-    /// three engine tags: `wide` at n = 36 and on the n = 224 clique and
-    /// near-threshold G(n,p) (whose high degree keeps it off the
-    /// event-driven engine), `sparse` on the n = 224 star, and `batch`
-    /// on `T_reach` cells that the 64-lane probe decided alone.
+    /// three engine tags: `wide` on every `td` cell but one and on the
+    /// holding `T_reach` cells at n = 224, `sparse` on the n = 224
+    /// single-label star's `td` cell (`star/n=224/uni1/td`), and `batch`
+    /// on the `T_reach` cells the 64-lane probe decided alone — every
+    /// `treach` and `treachd` cell at n = 36, and the failing ones at
+    /// n = 224.
     #[must_use]
     pub fn quick(seed: u64) -> Self {
         Self {

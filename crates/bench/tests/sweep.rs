@@ -66,9 +66,15 @@ fn correlated_rows_attribute_replay_work_and_cold_rows_report_zero() {
         assert!(row.contains("\"delta_replayed_buckets\":"), "{row}");
         if row.contains("/treachd\"") {
             delta_rows += 1;
+            // At n ≤ 64 the 64-lane probe decides every chain's starting
+            // state, so every chain runs cold on the probe alone.
             assert!(
-                !row.contains("\"delta_replayed_buckets\":0,"),
-                "a correlated chain always replays some buckets: {row}"
+                row.contains("\"delta_replayed_buckets\":0,"),
+                "probe-decided chains replay nothing: {row}"
+            );
+            assert!(
+                row.contains("\"engine\":\"batch\""),
+                "probe-decided chains use only the lane pass: {row}"
             );
         } else {
             cold_rows += 1;
@@ -88,6 +94,23 @@ fn correlated_rows_attribute_replay_work_and_cold_rows_report_zero() {
         );
     }
     assert!(delta_rows > 0 && cold_rows > 0);
+    // Above 64 sources a holding start needs the blocks after the probe,
+    // so the chains record the cursor and the row reports the buckets
+    // their applies replayed.
+    let recorded = SweepSpec {
+        families: vec![GraphFamily::Clique { directed: true }],
+        models: vec![LabelModelSpec::UniformSingle],
+        metrics: vec![Metric::TreachCorrelated],
+        sizes: vec![72],
+        ..tiny_spec(1)
+    };
+    for row in collect(&recorded, 2, &[]) {
+        assert!(
+            !row.contains("\"delta_replayed_buckets\":0,"),
+            "a recorded chain always replays some buckets: {row}"
+        );
+        assert!(row.contains("\"engine\":\"wide\""), "{row}");
+    }
 }
 
 #[test]

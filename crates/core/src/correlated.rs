@@ -1,19 +1,39 @@
-//! Correlated what-if estimation of `P[T_reach]` through the
-//! differential cursor.
+//! Correlated what-if estimation of `P[T_reach]` by single-site Gibbs
+//! chains.
 //!
 //! The Monte Carlo estimators in [`reachability_whp`](crate::reachability_whp)
 //! redraw **every** label between trials, so each trial pays a cold
-//! all-source sweep. This module explores the complementary regime the
+//! `T_reach` check. This module explores the complementary regime the
 //! [`DeltaCursor`](ephemeral_temporal::delta::DeltaCursor) exists for:
 //! single-site Gibbs chains where consecutive assignments differ in one
 //! label, so each step replays only the handful of perturbed buckets
 //! instead of sweeping cold.
 //!
-//! Per step the `T_reach` sample itself is O(1): journeys are paths, so
-//! temporal reach is a subset of static reach source by source, and the
-//! **total** maintained bit count equals the static total iff every
-//! source matches ([`StaticReach::total`]). No per-step sweep, no
-//! per-step comparison pass.
+//! On a recorded chain the per-step `T_reach` sample is O(1): journeys
+//! are paths, so temporal reach is a subset of static reach source by
+//! source, and the **total** maintained bit count equals the static
+//! total iff every source matches ([`StaticReach::total`]). No per-step
+//! sweep, no per-step comparison pass.
+//!
+//! ## Which chains record the cursor
+//!
+//! The cursor pays for a full recording, and each move replays from the
+//! earlier of its two times. A cold check that the 64-lane probe answers
+//! is one lane pass, which on the benchmark grid's cells costs less than
+//! a cursor step. The chain loop can therefore ask the
+//! [`treach_probe`] about a chain's starting state first. When the probe
+//! decides it (the state fails, or `n ≤ 64`, where the probe covers every
+//! source), the chain runs **cold**: each step is
+//! [`TemporalNetwork::move_label`](ephemeral_temporal::TemporalNetwork::move_label)
+//! plus a `T_reach` check, and a rejected proposal reuses the previous
+//! answer. Every other chain records the cursor. The rule keys on the
+//! probe's own answer, so it needs no cost model. Both paths read the
+//! same proposal words and give the same hit per sample, so the estimate
+//! does not depend on the rule (`tests::probe_rule_changes_no_sample`).
+//! The `treachd` cells of [`Scenario`](crate::scenario::Scenario) use it;
+//! E12's [`treach_probability_correlated`] records every chain, because
+//! it reports the maintained pair count, which only the cursor reads per
+//! step.
 //!
 //! ## Statistics, honestly
 //!
@@ -39,13 +59,13 @@
 //! `treachd` cells of [`Scenario`](crate::scenario::Scenario) alike.
 
 use crate::models::{LabelModel, UniformSingle};
-use crate::scenario::Scratch;
+use crate::scenario::{heavier, Scratch};
 use ephemeral_graph::{EdgeId, Graph};
 use ephemeral_parallel::par_map_with;
 use ephemeral_rng::{DefaultRng, RandomSource, SeedSequence};
-use ephemeral_temporal::reachability::StaticReach;
+use ephemeral_temporal::reachability::{treach_probe, StaticReach};
 use ephemeral_temporal::wide::EngineKind;
-use ephemeral_temporal::Time;
+use ephemeral_temporal::{TemporalNetwork, Time};
 
 /// Seed stream tag for the per-chain rng streams.
 const CHAIN_STREAM: u64 = 0xC0;
@@ -71,15 +91,18 @@ pub struct CorrelatedTreach {
     /// rejected by the move semantics and re-sample the same state).
     pub applied_moves: usize,
     /// Total buckets the differential cursor replayed across every
-    /// applied move — the work a cold driver would have spent full
-    /// sweeps on.
+    /// applied move of the recorded chains, in place of a full sweep per
+    /// move. A cold chain replays none.
     pub replayed_buckets: usize,
     /// Mean temporally reachable **ordered off-diagonal** pairs per
     /// sample — the free continuous observable of the maintained
-    /// closure (`reached_bits − n`, read in O(1) per step).
+    /// closure (`reached_bits − n`, read in O(1) per step). NaN when a
+    /// chain ran cold, which never maintains the closure; this function
+    /// records every chain.
     pub mean_reachable_pairs: f64,
     /// `1.96 ×` the between-chain standard error of the per-chain
-    /// reachable-pair means (`∞` when `chains < 2`).
+    /// reachable-pair means (`∞` when `chains < 2`, NaN with
+    /// [`CorrelatedTreach::mean_reachable_pairs`]).
     pub reach_half_width: f64,
 }
 
@@ -114,32 +137,49 @@ pub fn treach_probability_correlated(
         chains,
         steps_per_chain,
         threads,
+        ChainRule::RecordAll,
         || Scratch::new(graph, lifetime),
         |s, c, run| run(s, &mut stream.rng(c)),
     )
 }
 
-/// One chain's tallies, and the engine that recorded its starting state.
+/// Which chains [`run_chains`] records (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainRule {
+    /// Record the cursor for every chain, so every sample also reads the
+    /// maintained pair count.
+    RecordAll,
+    /// Ask the 64-lane probe about each chain's starting state first,
+    /// and run the chains it decides cold.
+    ProbeFirst,
+}
+
+/// One chain's tallies, and the heaviest engine it used.
 pub(crate) struct Chain {
     hits: usize,
     applied: usize,
     replayed: usize,
-    reach_sum: u64,
+    /// Summed maintained pair counts; `None` for a cold chain.
+    reach_sum: Option<u64>,
+    /// The engine that recorded the chain, or for a cold chain the
+    /// heaviest engine its checks used.
     pub(crate) engine: EngineKind,
 }
 
 /// Run `chains` independent Gibbs chains of `steps` proposals each, every
-/// chain started from a fresh draw from `model` and recorded once, and
-/// fold them by the between-chain construction. `around(scratch, c,
-/// chain)` runs chain `c` on its own generator and may wrap it (the
-/// scenario's arena tracking and engine attribution), so the result never
-/// depends on `threads`.
+/// chain started from a fresh draw from `model`, and fold them by the
+/// between-chain construction. `rule` says which chains record the
+/// cursor. `around(scratch, c, chain)` runs chain `c` on its own
+/// generator and may wrap it (the scenario's arena tracking and engine
+/// attribution), so the result never depends on `threads`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chains<A>(
     graph: &Graph,
     model: &(dyn LabelModel + Sync),
     chains: usize,
     steps: usize,
     threads: usize,
+    rule: ChainRule,
     init: impl Fn() -> Scratch + Sync,
     around: A,
 ) -> CorrelatedTreach
@@ -156,40 +196,85 @@ where
             ..CorrelatedTreach::default()
         };
     }
-    let target = StaticReach::new(graph).total(graph);
+    let oracle = StaticReach::new(graph);
+    let target = oracle.total(graph);
     let lifetime = model.lifetime();
-    let chain = |s: &mut Scratch, rng: &mut DefaultRng| {
-        s.redraw(model, rng);
-        let (stats, engine) = s.sweeper.record_delta(&s.tn);
+    // One Gibbs proposal, the words `urtn::propose_label_move` reads: a
+    // uniform edge, a uniform label of it, a fresh uniform replacement.
+    // An edge whose model draw left it unlabelled yields no proposal
+    // (nothing to move) and the unchanged state is sampled again —
+    // exactly like a colliding draw.
+    let propose = |tn: &TemporalNetwork, rng: &mut DefaultRng| {
+        let e = rng.index(m) as EdgeId;
+        let labels = tn.labels(e);
+        (!labels.is_empty()).then(|| {
+            (
+                e,
+                labels[rng.index(labels.len())],
+                rng.range_u32(1, lifetime),
+            )
+        })
+    };
+    // A chain the probe decided runs cold: one `T_reach` check per
+    // applied move. A rejected move leaves the state, and so its answer,
+    // unchanged.
+    let cold = |s: &mut Scratch, rng: &mut DefaultRng, mut holds: bool| {
         let mut out = Chain {
-            hits: usize::from(stats.reached_bits == target),
+            hits: usize::from(holds),
             applied: 0,
             replayed: 0,
-            reach_sum: (stats.reached_bits - n) as u64,
-            engine,
+            reach_sum: None,
+            engine: EngineKind::Batch,
         };
         for _ in 0..steps {
-            // One Gibbs proposal, the words `urtn::propose_label_move`
-            // reads: a uniform edge, a uniform label of it, a fresh
-            // uniform replacement. An edge whose model draw left it
-            // unlabelled rejects the proposal (nothing to move) and the
-            // unchanged state is sampled again — exactly like a colliding
-            // draw.
-            let e = rng.index(m) as EdgeId;
-            let labels = s.tn.labels(e);
-            if !labels.is_empty() {
-                let from = labels[rng.index(labels.len())];
-                let to = rng.range_u32(1, lifetime);
-                if let Some(a) = s.sweeper.delta.apply_label_move(&mut s.tn, e, from, to) {
+            if let Some((e, from, to)) = propose(&s.tn, rng) {
+                if s.tn.move_label(e, from, to).is_some() {
                     out.applied += 1;
-                    out.replayed += a.replayed_buckets;
+                    let (now, engine) = s.treach(&oracle);
+                    holds = now;
+                    out.engine = heavier(out.engine, engine);
+                }
+            }
+            out.hits += usize::from(holds);
+        }
+        out
+    };
+    // Every other chain records the cursor once and applies each move
+    // through it, reading the maintained total per step.
+    let recorded = |s: &mut Scratch, rng: &mut DefaultRng| {
+        let (stats, engine) = s.sweeper.record_delta(&s.tn);
+        let mut hits = usize::from(stats.reached_bits == target);
+        let mut reach_sum = (stats.reached_bits - n) as u64;
+        let (mut applied, mut replayed) = (0, 0);
+        for _ in 0..steps {
+            if let Some((e, from, to)) = propose(&s.tn, rng) {
+                if let Some(a) = s.sweeper.delta.apply_label_move(&mut s.tn, e, from, to) {
+                    applied += 1;
+                    replayed += a.replayed_buckets;
                 }
             }
             let reached = s.sweeper.delta.stats().reached_bits;
-            out.hits += usize::from(reached == target);
-            out.reach_sum += (reached - n) as u64;
+            hits += usize::from(reached == target);
+            reach_sum += (reached - n) as u64;
         }
-        out
+        Chain {
+            hits,
+            applied,
+            replayed,
+            reach_sum: Some(reach_sum),
+            engine,
+        }
+    };
+    let chain = |s: &mut Scratch, rng: &mut DefaultRng| {
+        s.redraw(model, rng);
+        let decided = match rule {
+            ChainRule::ProbeFirst => treach_probe(&s.tn, &mut s.sweeper.batch, &oracle),
+            ChainRule::RecordAll => None,
+        };
+        match decided {
+            Some(holds) => cold(s, rng, holds),
+            None => recorded(s, rng),
+        }
     };
     let ids: Vec<u64> = (0..chains as u64).collect();
     let per_chain = par_map_with(&ids, threads, init, |s, _, &c| around(s, c, &chain));
@@ -212,7 +297,8 @@ where
         (mean, half)
     };
     let (estimate, half_width) = mean_and_se(|c| c.hits as f64);
-    let (mean_reachable_pairs, reach_half_width) = mean_and_se(|c| c.reach_sum as f64);
+    let (mean_reachable_pairs, reach_half_width) =
+        mean_and_se(|c| c.reach_sum.map_or(f64::NAN, |sum| sum as f64));
     CorrelatedTreach {
         estimate,
         half_width,
@@ -287,6 +373,97 @@ mod tests {
         }
         assert_eq!(out.applied_moves, applied);
         assert_eq!(out.estimate, hits as f64 / (steps + 1) as f64);
+    }
+
+    /// [`run_chains`] over the same streams twice: with the probe rule,
+    /// and with every chain recording.
+    fn under_both_rules(
+        graph: &Graph,
+        model: &(dyn LabelModel + Sync),
+        chains: usize,
+        steps: usize,
+        seed: u64,
+    ) -> [CorrelatedTreach; 2] {
+        let stream = SeedSequence::new(seed).child(CHAIN_STREAM);
+        [ChainRule::ProbeFirst, ChainRule::RecordAll].map(|rule| {
+            run_chains(
+                graph,
+                model,
+                chains,
+                steps,
+                2,
+                rule,
+                || Scratch::new(graph, model.lifetime()),
+                |s, c, run| run(s, &mut stream.rng(c)),
+            )
+        })
+    }
+
+    #[test]
+    fn probe_rule_changes_no_sample() {
+        use crate::models::UniformMulti;
+        use crate::scenario::GraphFamily;
+        // Which chains the probe rule runs cold: all, none, or some.
+        #[derive(Debug, PartialEq)]
+        enum Cold {
+            All,
+            None,
+            Some,
+        }
+        let single = |n: usize| UniformSingle {
+            lifetime: n as Time,
+        };
+        let mut rng = ephemeral_rng::default_rng(5);
+        let gnp = GraphFamily::Gnp { c: 1.5 }.build(96, &mut rng);
+        let gnp_model = UniformMulti { lifetime: 96, r: 4 };
+        let cells: [(&str, Graph, &(dyn LabelModel + Sync), Cold); 5] = [
+            // n ≤ 64: the probe covers every source, so every chain is cold.
+            (
+                "clique40",
+                generators::clique(40, true),
+                &single(40),
+                Cold::All,
+            ),
+            ("star40", generators::star(40), &single(40), Cold::All),
+            // n = 96: a holding start needs the blocks after the probe, so
+            // the chain records; a failing one is the probe's to decide.
+            (
+                "uclique96",
+                generators::clique(96, false),
+                &single(96),
+                Cold::None,
+            ),
+            ("star96", generators::star(96), &single(96), Cold::All),
+            ("gnp96", gnp, &gnp_model, Cold::Some),
+        ];
+        for (name, graph, model, cold) in cells {
+            let [probed, recorded] = under_both_rules(&graph, model, 8, 24, 17);
+            assert_eq!(probed.estimate, recorded.estimate, "{name}");
+            assert_eq!(
+                probed.half_width.to_bits(),
+                recorded.half_width.to_bits(),
+                "{name}"
+            );
+            assert_eq!(probed.samples, recorded.samples, "{name}");
+            assert_eq!(probed.applied_moves, recorded.applied_moves, "{name}");
+            assert!(
+                recorded.replayed_buckets > 0,
+                "{name}: recorded chains replay"
+            );
+            let seen = match (
+                probed.mean_reachable_pairs.is_nan(),
+                probed.replayed_buckets > 0,
+            ) {
+                (true, false) => Cold::All,
+                (false, true) => Cold::None,
+                (true, true) => Cold::Some,
+                (false, false) => panic!("{name}: a chain either records or runs cold"),
+            };
+            assert_eq!(seen, cold, "{name}");
+            if cold == Cold::None {
+                assert_eq!(probed, recorded, "{name}");
+            }
+        }
     }
 
     #[test]

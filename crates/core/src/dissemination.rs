@@ -171,9 +171,9 @@ pub fn flood_montecarlo(
 /// Oracle version for a virtual directed U-RT clique of `n` vertices and
 /// lifetime `a`, never materialising the `Θ(n²)` arcs.
 ///
-/// Exactness note (DESIGN.md §3): for a vertex informed at time `τ`, the
-/// probability that a given still-unrevealed out-arc fires at a later time
-/// `t` is `1/(a − (t−1−τ))` conditioned on not having fired in `(τ, t)`;
+/// Exactness note: for a vertex informed at time `τ`, the probability that
+/// a given still-unrevealed out-arc fires at a later time `t` is
+/// `1/(a − (t−1−τ))` conditioned on not having fired in `(τ, t)`;
 /// the oracle uses the unconditioned `1/a`, an `O(t/a)` underestimate. The
 /// broadcast completes by `O(log n) ≪ a` steps, so the bias is negligible
 /// — and the exact [`flood`] covers every size we can materialise.

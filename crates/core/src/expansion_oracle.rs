@@ -9,13 +9,13 @@
 //! `Binomial(pool, |∆|/a)` draw (binomial thinning) — and then **which**
 //! distinct pool vertices were hit.
 //!
-//! Substitution note (recorded per DESIGN.md §3): the forward sweep, the
-//! backward sweep and the matching step are treated as revealing disjoint
-//! arc sets. Arcs examined twice across stages (a backward-frontier member
-//! that also borders the forward structure) have probability `O(√n/n)`
-//! each; the bias is far below Monte Carlo noise at the sizes where the
-//! oracle is used (`n ≥ 10⁴`), and the exact implementation
-//! ([`crate::expansion`]) covers every smaller size.
+//! Substitution note: the forward sweep, the backward sweep and the
+//! matching step are treated as revealing disjoint arc sets. Arcs examined
+//! twice across stages (a backward-frontier member that also borders the
+//! forward structure) have probability `O(√n/n)` each; the bias is far
+//! below Monte Carlo noise at the sizes where the oracle is used
+//! (`n ≥ 10⁴`), and the exact implementation ([`crate::expansion`]) covers
+//! every smaller size.
 
 use crate::expansion::ExpansionParams;
 use ephemeral_rng::distr::Binomial;

@@ -12,7 +12,7 @@
 //! thread count. The sweep engine in `ephemeral-bench` expands grids of
 //! these cells and streams resumable JSON-lines results.
 
-use crate::correlated::run_chains;
+use crate::correlated::{run_chains, ChainRule};
 use crate::models::{GeometricArrivals, LabelModel, UniformMulti, UniformSingle, ZipfMulti};
 use crate::urtn::placeholder_network;
 use ephemeral_graph::{generators, Graph};
@@ -226,16 +226,21 @@ pub enum Metric {
     /// (Definition 6)?
     TreachProbability,
     /// `P[T_reach]` again, but estimated by correlated single-site Gibbs
-    /// chains maintained differentially (one recorded sweep per chain,
-    /// then one [`DeltaCursor::apply_label_move`](ephemeral_temporal::delta::DeltaCursor::apply_label_move)
-    /// per step instead of a cold sweep per trial). The move kernel
+    /// chains. The 64-lane `T_reach` probe looks at each chain's starting
+    /// state first. A chain whose start it decides (the state fails, or
+    /// `n ≤ 64`) runs cold: each step moves one label in the network and
+    /// checks `T_reach` again. Every other chain is maintained
+    /// differentially: one recorded sweep, then one
+    /// [`DeltaCursor::apply_label_move`](ephemeral_temporal::delta::DeltaCursor::apply_label_move)
+    /// per step. Both paths give the same sample per step, so the
+    /// estimate does not depend on which chains recorded. The move kernel
     /// redraws one uniformly chosen label uniformly over `{1, …, a}`,
     /// which is stationary for the **uniform** label models (UNI-CASE
     /// single and multi — resampling one coordinate of a product-uniform
     /// vector); skewed F-CASE models would need a Metropolis correction
     /// the chain does not implement, so grids pairing this metric with
     /// `Zipf`/`Geometric` estimate the uniform law, not the cell's.
-    /// Rows report the total replayed buckets
+    /// Rows report the buckets the recorded chains replayed
     /// ([`ScenarioOutcome::delta_replayed_buckets`]).
     TreachCorrelated,
     /// Broadcast time of the §3.5 flooding protocol from vertex 0; trials
@@ -265,6 +270,15 @@ const fn engine_rank(kind: EngineKind) -> u8 {
         EngineKind::Batch => 2,
         EngineKind::Sparse => 3,
         EngineKind::Wide => 4,
+    }
+}
+
+/// The heavier of two engines by [`engine_rank`].
+pub(crate) const fn heavier(a: EngineKind, b: EngineKind) -> EngineKind {
+    if engine_rank(b) > engine_rank(a) {
+        b
+    } else {
+        a
     }
 }
 
@@ -320,11 +334,16 @@ pub struct ScenarioOutcome {
     /// perf regressions are traceable. A `T_reach` cell whose every trial
     /// was decided by the 64-lane probe reports `"batch"` at any size (a
     /// failing probe, or `n ≤ 64`, where the probe covers every source):
-    /// no full-width engine ran.
+    /// no full-width engine ran. A [`Metric::TreachCorrelated`] cell
+    /// folds its chains the same way: a recorded chain reports the engine
+    /// that recorded it, and a cold chain the heaviest engine its checks
+    /// used, so `"batch"` when the probe decided every sample.
     pub engine: &'static str,
-    /// Buckets the differential cursor replayed across the cell's Gibbs
-    /// steps — the work attribution of [`Metric::TreachCorrelated`]
-    /// (always 0 for the cold-trial metrics).
+    /// Buckets the differential cursor replayed across the Gibbs steps of
+    /// the cell's recorded chains — the work attribution of
+    /// [`Metric::TreachCorrelated`]. A chain whose starting state the
+    /// probe decided runs cold and replays none, so a cell of such chains
+    /// reads 0, as the cold-trial metrics always do.
     pub delta_replayed_buckets: usize,
     /// High-water mark of the sparse engine's region arena across the
     /// cell's trials, in `u32` words — the memory attribution of the
@@ -549,19 +568,29 @@ impl Scenario {
             Metric::TreachCorrelated => {
                 // The trial budget reshaped into chains × steps: the batch
                 // setting caps the chain count and the trial cap fixes the
-                // total number of samples. Restarts are the cheap part:
-                // per grid cell, the 16 cold recordings average 2.9 ms
-                // while the 1,488 cursor applies take 104 ms.
+                // total number of samples. A chain whose starting state
+                // the 64-lane probe decides runs cold, each step one move
+                // and one `T_reach` check; only the others record the
+                // cursor (see `correlated`'s module docs).
                 let chains = cfg.batch.clamp(1, 16);
                 let steps = cfg.max_trials / chains;
                 let stream = SeedSequence::new(trial_seed);
-                let out = run_chains(&graph, model, chains, steps, threads, init, |s, c, run| {
-                    arena.track(s, |s| {
-                        let out = run(s, &mut stream.rng(c));
-                        serve(out.engine);
-                        out
-                    })
-                });
+                let out = run_chains(
+                    &graph,
+                    model,
+                    chains,
+                    steps,
+                    threads,
+                    ChainRule::ProbeFirst,
+                    init,
+                    |s, c, run| {
+                        arena.track(s, |s| {
+                            let out = run(s, &mut stream.rng(c));
+                            serve(out.engine);
+                            out
+                        })
+                    },
+                );
                 delta_replayed_buckets = out.replayed_buckets;
                 let converged = out.half_width <= cfg.target_half_width;
                 (out.estimate, out.half_width, out.samples, converged, 0.0)
@@ -915,33 +944,41 @@ mod tests {
     #[test]
     fn correlated_metric_agrees_with_structure_and_reports_replay_work() {
         // K_n holds under every single labelling, the star essentially
-        // never does — the correlated chains must say exactly that, and
-        // the star cell must report the buckets its applies replayed.
-        let sure = Scenario {
-            family: GraphFamily::Clique { directed: false },
+        // never does — the correlated chains must say exactly that.
+        let mk = |family, n| Scenario {
+            family,
             model: LabelModelSpec::UniformSingle,
             lifetime: LifetimeRule::EqualsN,
             metric: Metric::TreachCorrelated,
-            n: 16,
-        }
-        .evaluate(&quick_cfg(), 3, 2);
+            n,
+        };
+        let clique = GraphFamily::Clique { directed: false };
+        let sure = mk(clique, 16).evaluate(&quick_cfg(), 3, 2);
         assert_eq!(sure.estimate, 1.0);
         assert_eq!(sure.half_width, 0.0);
         assert!(sure.converged);
         assert!(sure.trials > 0);
-        let star = Scenario {
-            family: GraphFamily::Star,
-            model: LabelModelSpec::UniformSingle,
-            lifetime: LifetimeRule::EqualsN,
-            metric: Metric::TreachCorrelated,
-            n: 16,
-        }
-        .evaluate(&quick_cfg(), 3, 1);
+        let star = mk(GraphFamily::Star, 16).evaluate(&quick_cfg(), 3, 1);
         assert!(star.estimate < 0.5, "one label cannot serve a star");
+        // The 64-lane probe decides every starting state at n ≤ 64, and a
+        // failing one at any size: those chains run cold, replay nothing
+        // and use no engine but the probe's lane pass.
+        let big_star = mk(GraphFamily::Star, 96).evaluate(&quick_cfg(), 3, 2);
+        assert_eq!(big_star.estimate, 0.0, "one label cannot serve a star");
+        for (name, cell) in [("clique16", sure), ("star16", star), ("star96", big_star)] {
+            assert_eq!(cell.delta_replayed_buckets, 0, "{name}: cold chains");
+            assert_eq!(cell.engine, "batch", "{name}: the probe decided");
+        }
+        // Above 64 sources a holding start needs the blocks after the
+        // probe, so the chains record the cursor and the row reports the
+        // buckets their applies replayed.
+        let recorded = mk(clique, 96).evaluate(&quick_cfg(), 3, 2);
+        assert_eq!(recorded.estimate, 1.0);
         assert!(
-            star.delta_replayed_buckets > 0,
+            recorded.delta_replayed_buckets > 0,
             "applied moves replay buckets"
         );
+        assert_eq!(recorded.engine, "wide", "the recording's engine");
         // The cold-trial metrics never touch the cursor.
         let cold = Scenario {
             family: GraphFamily::Star,

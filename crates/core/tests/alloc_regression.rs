@@ -4,10 +4,10 @@
 //! draw, single- or multi-label), swap it into the network with an
 //! in-place bucket rebuild (occupied-times skip list included), run the
 //! dispatched wide or sparse engine, or check `T_reach` against the
-//! substrate's one shared static oracle — is designed to allocate
-//! **nothing** once its buffers are warm. A counting global allocator
-//! pins that down; a regression here means a `Vec` started being reborn
-//! per trial somewhere in the loop.
+//! substrate's one shared static oracle, after a redraw or after one cold
+//! Gibbs move — is designed to allocate **nothing** once its buffers are
+//! warm. A counting global allocator pins that down; a regression here
+//! means a `Vec` started being reborn per trial somewhere in the loop.
 //!
 //! This file deliberately holds a single `#[test]`: the counter is global
 //! to the test binary, so concurrent tests would pollute the count.
@@ -164,6 +164,63 @@ fn warm_montecarlo_trials_do_not_allocate() {
              allocations in 20 trials)"
         );
     }
+
+    // Warm cold-chain steps: what a `treachd` chain runs per step once the
+    // 64-lane probe has decided its starting state — one label move in
+    // the network, then the `T_reach` check against the shared oracle.
+    // Each applied move is checked, reverted and checked again, so the
+    // measured window visits exactly the states the warm-up sized every
+    // buffer for. Near the threshold single moves flip the answer: some
+    // states fail at the probe, others hold through the wide block after
+    // it.
+    use ephemeral_core::scenario::GraphFamily;
+    use ephemeral_core::urtn::propose_label_move;
+    let mut rng5 = default_rng(0);
+    let chain_graph = GraphFamily::Gnp { c: 1.5 }.build(96, &mut rng5);
+    let labels = UniformMulti { lifetime: 96, r: 3 }.assign(chain_graph.num_edges(), &mut rng5);
+    let mut chain_tn =
+        TemporalNetwork::new(chain_graph, labels, 96).expect("model labels fit the lifetime");
+    let chain_oracle = StaticReach::new(chain_tn.graph());
+    let proposals: Vec<_> = (0..64)
+        .map(|_| propose_label_move(&chain_tn, &mut rng5))
+        .collect();
+    let mut chain_scratch = SweepScratch::new();
+    let cold_steps = |scratch: &mut SweepScratch, tn: &mut TemporalNetwork| {
+        // (checks answered by the probe, checks that swept the blocks)
+        let mut answered = [0usize; 2];
+        let mut check = |scratch: &mut SweepScratch, tn: &TemporalNetwork| {
+            let (_, engine) = treach_holds_scratch_with(tn, scratch, &chain_oracle);
+            answered[usize::from(engine != EngineKind::Batch)] += 1;
+        };
+        for &(e, from, to) in &proposals {
+            if tn.move_label(e, from, to).is_some() {
+                check(scratch, tn);
+                tn.move_label(e, to, from)
+                    .expect("reverting an applied move is always valid");
+                check(scratch, tn);
+            }
+        }
+        answered
+    };
+    let warm_answered = cold_steps(&mut chain_scratch, &mut chain_tn);
+    assert!(
+        warm_answered[0] > 0 && warm_answered[1] > 0,
+        "cold steps both stop at the probe and sweep the blocks, saw {warm_answered:?}"
+    );
+    let before = allocations();
+    let answered = cold_steps(&mut chain_scratch, &mut chain_tn);
+    let during = allocations() - before;
+    assert_eq!(
+        answered, warm_answered,
+        "identical pairs answer identically"
+    );
+    assert_eq!(
+        during,
+        0,
+        "warm cold-chain steps must not allocate (saw {during} allocations \
+         over {} move+revert pairs)",
+        proposals.len()
+    );
 
     // The wide-engine trial path: same draw-and-swap loop, but the sweep
     // is a single wide pass over the occupied-times index. Covers both
@@ -325,7 +382,6 @@ fn warm_montecarlo_trials_do_not_allocate() {
     // window replays exactly the buckets the warm-up already sized the
     // row logs, agenda and shadow buffers for — any allocation here
     // means cursor state stopped being pooled.
-    use ephemeral_core::urtn::propose_label_move;
     let mut rng3 = default_rng(13);
     let proposals: Vec<_> = (0..48)
         .map(|_| propose_label_move(&tn, &mut rng3))

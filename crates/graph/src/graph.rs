@@ -173,22 +173,6 @@ impl Graph {
         nodes.binary_search(&v).ok().map(|i| edges[i])
     }
 
-    /// Edge density: `m / (n choose 2)` for undirected, `m / (n(n−1))` for
-    /// directed. `None` for `n < 2`.
-    #[must_use]
-    pub fn density(&self) -> Option<f64> {
-        let n = self.num_nodes() as f64;
-        if self.num_nodes() < 2 {
-            return None;
-        }
-        let pairs = if self.directed {
-            n * (n - 1.0)
-        } else {
-            n * (n - 1.0) / 2.0
-        };
-        Some(self.num_edges() as f64 / pairs)
-    }
-
     /// The directed graph with every arc reversed (identity on undirected
     /// graphs). Edge ids are preserved: arc `e = (u, v)` becomes `e = (v, u)`.
     #[must_use]
@@ -270,17 +254,6 @@ mod tests {
     fn reversed_undirected_is_identity() {
         let g = generators::cycle(5);
         assert_eq!(g.reversed(), g);
-    }
-
-    #[test]
-    fn density() {
-        let g = generators::clique(5, false);
-        assert!((g.density().unwrap() - 1.0).abs() < 1e-12);
-        let d = generators::clique(5, true);
-        assert!((d.density().unwrap() - 1.0).abs() < 1e-12);
-        let mut b = GraphBuilder::new_undirected(1);
-        let _ = &mut b;
-        assert!(b.build().unwrap().density().is_none());
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * [`SplitMix64`]: the 64-bit state mixer of Steele, Lea and Flood. Used
 //!   for seed derivation and as a tiny standalone generator.
 //! * [`Xoshiro256PlusPlus`]: Blackman & Vigna's xoshiro256++ 1.0, the
-//!   workhorse generator (fast, 256-bit state, passes BigCrush), with the
-//!   standard `jump` sub-sequence machinery for parallel streams.
+//!   workhorse generator (fast, 256-bit state, passes BigCrush).
 //! * [`RandomSource`]: the minimal trait the rest of the workspace programs
 //!   against (uniform integers via Lemire's method, floats, Bernoulli).
 //! * [`distr`]: the distribution samplers the paper's experiments need —

@@ -7,8 +7,8 @@ use crate::splitmix::SplitMix64;
 /// xoshiro256++ 1.0: the workspace's default generator.
 ///
 /// 256 bits of state, period `2²⁵⁶ − 1`, passes BigCrush and PractRand.
-/// `jump()` advances by `2¹²⁸` steps, which yields up to `2¹²⁸`
-/// non-overlapping parallel sub-sequences.
+/// Parallel streams come from per-stream seeds
+/// ([`SeedSequence`](crate::SeedSequence)), not from jumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
@@ -64,32 +64,6 @@ impl Xoshiro256PlusPlus {
     pub const fn state(&self) -> [u64; 4] {
         self.s
     }
-
-    fn polynomial_jump(&mut self, table: [u64; 4]) {
-        let mut acc = [0u64; 4];
-        for word in table {
-            for b in 0..64 {
-                if (word >> b) & 1 == 1 {
-                    acc[0] ^= self.s[0];
-                    acc[1] ^= self.s[1];
-                    acc[2] ^= self.s[2];
-                    acc[3] ^= self.s[3];
-                }
-                self.next();
-            }
-        }
-        self.s = acc;
-    }
-
-    /// Advance by `2¹²⁸` steps (reference `jump()` polynomial).
-    pub fn jump(&mut self) {
-        self.polynomial_jump([
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ]);
-    }
 }
 
 impl RandomSource for Xoshiro256PlusPlus {
@@ -136,20 +110,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.next(), b.next());
         }
-    }
-
-    #[test]
-    fn jump_commutes_with_stepping() {
-        // jump(); next() must differ from next(); jump() — but
-        // jump(); jump() must equal the direct 2^129 jump composition:
-        // we verify the weaker, implementation-relevant property that
-        // jumped streams never collide with the base stream early on.
-        let base = Xoshiro256PlusPlus::seed_from_u64(7);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        b.jump();
-        let collisions = (0..1024).filter(|_| a.next() == b.next()).count();
-        assert_eq!(collisions, 0);
     }
 
     #[test]

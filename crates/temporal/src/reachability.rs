@@ -3,10 +3,13 @@
 //! Definition 6: an assignment `L` **preserves the reachability** of `G`
 //! when for all `u, v`: a `(u, v)`-path exists in `G` **iff** a
 //! `(u, v)`-journey exists in `(G, L)`. Journeys are paths, so only the
-//! forward implication can fail; the check therefore compares per-source
-//! reach *counts* of static BFS and the temporal sweep. The whole-network
-//! checks probe the first 64 sources with one lane pass of the
-//! bit-parallel [`engine`](crate::engine) (failing instances almost
+//! forward implication can fail, and no source's temporal reach can
+//! exceed its static reach. The checks therefore compare **totals**: a
+//! swept block of sources preserves reachability iff its
+//! [`SweepStats::reached_bits`](crate::engine::SweepStats::reached_bits)
+//! equals the block's static total from [`StaticReach`]. The
+//! whole-network checks probe the first 64 sources with one lane pass of
+//! the bit-parallel [`engine`](crate::engine) (failing instances almost
 //! always fail there) and only then sweep the remaining column blocks
 //! through the full-width engine the density-aware [`EngineChoice`]
 //! selected — [`wide`](crate::wide) below the crossover and on dense
@@ -16,13 +19,14 @@
 use crate::engine::{BatchSweeper, MAX_LANES};
 use crate::foremost::foremost;
 use crate::network::TemporalNetwork;
-use crate::session::{block_all_reached, reach_counts};
+use crate::session::block_reached_bits;
 use crate::sparse::{EngineChoice, FrontierRun};
 use crate::wide::{probe_blocks, word_blocks, EngineKind, FrontierEngine, SweepScratch};
-use crate::{Time, NEVER};
+use crate::NEVER;
 use ephemeral_graph::algo::{bfs_distances, connected_components, Components, UNREACHABLE};
 use ephemeral_graph::{Graph, NodeId};
 use ephemeral_parallel::par_map_with;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Which vertices admit a journey from `source` (the source included).
@@ -68,11 +72,11 @@ pub fn is_temporally_connected(tn: &TemporalNetwork, threads: usize) -> bool {
 fn frontier_connected<S: FrontierEngine>(
     tn: &TemporalNetwork,
     threads: usize,
-    probe: std::ops::Range<NodeId>,
-    rest: &[std::ops::Range<NodeId>],
+    probe: Range<NodeId>,
+    rest: &[Range<NodeId>],
 ) -> bool {
     let n = tn.num_nodes();
-    if !block_all_reached(tn, &mut BatchSweeper::new(), probe) {
+    if block_reached_bits(tn, &mut BatchSweeper::new(), probe.clone()) != probe.len() * n {
         return false;
     }
     let failed = AtomicBool::new(false);
@@ -86,25 +90,6 @@ fn frontier_connected<S: FrontierEngine>(
         }
     });
     !failed.load(Ordering::Relaxed)
-}
-
-/// Per-lane temporal reach counts of one full-width block into `counts`:
-/// each source counts itself plus one per newly-reached vertex (integer
-/// accumulation, so the commit order cannot affect the result).
-fn wide_reach_counts<S: FrontierEngine>(
-    tn: &TemporalNetwork,
-    sweeper: &mut S,
-    block: std::ops::Range<NodeId>,
-    counts: &mut Vec<usize>,
-) {
-    counts.clear();
-    counts.resize(block.len(), 1);
-    sweeper.sweep(tn, block, 0, |_, w, mut fresh, _: Time| {
-        while fresh != 0 {
-            counts[w * 64 + fresh.trailing_zeros() as usize] += 1;
-            fresh &= fresh - 1;
-        }
-    });
 }
 
 /// The static side of `T_reach` (Definition 6) for one substrate graph:
@@ -172,51 +157,76 @@ impl StaticReach {
         }
     }
 
-    /// Ordered statically reachable pairs of `graph`, each vertex
-    /// reaching itself included — the `reached_bits` total a temporal
-    /// closure attains exactly when the assignment satisfies `T_reach`.
-    /// Undirected graphs sum squared component sizes; directed graphs
-    /// search every source not yet searched.
+    /// Ordered statically reachable pairs `(s, v)` with `s` in `block`,
+    /// each source reaching itself included — the `reached_bits` total a
+    /// temporal sweep of `block` attains exactly when every one of its
+    /// sources keeps its static reach.
+    ///
+    /// # Panics
+    /// If `block` reaches past the graph's vertices.
     #[must_use]
-    pub fn total(&self, graph: &Graph) -> usize {
-        match &self.components {
-            Some(c) => c.sizes.iter().map(|&s| (s as usize) * (s as usize)).sum(),
-            None => (0..graph.num_nodes() as NodeId)
-                .map(|s| self.reach(graph, s))
-                .sum(),
-        }
+    pub fn block_total(&self, graph: &Graph, block: Range<NodeId>) -> usize {
+        block.map(|s| self.reach(graph, s)).sum()
     }
 
-    /// Do the temporal reach counts of lanes `base..base + counts.len()`
-    /// match the static ones?
-    fn lanes_match(&self, graph: &Graph, base: NodeId, counts: &[usize]) -> bool {
-        counts.iter().enumerate().all(|(lane, &count)| {
-            let expected = self.reach(graph, base + lane as NodeId);
-            debug_assert!(count <= expected, "journeys are paths");
-            count == expected
-        })
+    /// [`StaticReach::block_total`] over every source of `graph` — the
+    /// `reached_bits` total a temporal closure attains exactly when the
+    /// assignment satisfies `T_reach`.
+    #[must_use]
+    pub fn total(&self, graph: &Graph) -> usize {
+        self.block_total(graph, 0..graph.num_nodes() as NodeId)
     }
+}
+
+/// The 64-lane probe of every `T_reach` check, on its own: one lane pass
+/// over sources `0..min(n, 64)`, whose reached-pair total is compared
+/// with their static total. `Some(answer)` when the probe decides the
+/// check: its sources fall short (the instance fails), or `n ≤ 64`, where
+/// the probe covers every source. `None` when the full-width blocks after
+/// it must sweep before the answer is known. `oracle` must be
+/// [`StaticReach::new`] of `tn`'s graph; a warm `sweeper` allocates
+/// nothing.
+#[must_use]
+pub fn treach_probe(
+    tn: &TemporalNetwork,
+    sweeper: &mut BatchSweeper,
+    oracle: &StaticReach,
+) -> Option<bool> {
+    let n = tn.num_nodes();
+    let probe = 0..n.min(MAX_LANES) as NodeId;
+    let holds = block_holds(
+        block_reached_bits(tn, sweeper, probe.clone()),
+        oracle.block_total(tn.graph(), probe),
+    );
+    (!holds || n <= MAX_LANES).then_some(holds)
+}
+
+/// Does a swept block's temporal total match its static total? Journeys
+/// are paths, so no source reaches more by a journey than by a path, and
+/// equal totals mean that every source of the block matches.
+fn block_holds(reached_bits: usize, static_total: usize) -> bool {
+    debug_assert!(reached_bits <= static_total, "journeys are paths");
+    reached_bits == static_total
 }
 
 /// Does the assignment preserve reachability (`T_reach`, Definition 6)?
 ///
 /// Per source `s`, the set of temporally reachable vertices must equal the
-/// set of statically reachable vertices; since journeys are paths, equality
-/// of counts suffices. The static counts come from a [`StaticReach`] built
-/// for this call; callers that check many assignments of one graph share
-/// one through [`treach_holds_scratch_with`] instead.
-/// Temporal counts come from a lane pass over the first 64 sources first
+/// set of statically reachable vertices; since journeys are paths, equal
+/// totals over a block of sources suffice. The static totals come from a
+/// [`StaticReach`] built for this call; callers that check many
+/// assignments of one graph share one through
+/// [`treach_holds_scratch_with`] instead. The [`treach_probe`] runs first
 /// (a violating instance almost always exposes a short-counted source
-/// among any 64), then from the remaining column blocks in parallel
+/// among any 64), then the remaining column blocks sweep in parallel
 /// through the full-width engine the density-aware [`EngineChoice`]
 /// selected.
 #[must_use]
 pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
-    let n = tn.num_nodes();
-    if n <= 1 {
-        return true;
-    }
     let oracle = StaticReach::new(tn.graph());
+    if let Some(holds) = treach_probe(tn, &mut BatchSweeper::new(), &oracle) {
+        return holds;
+    }
     struct Treach<'a> {
         tn: &'a TemporalNetwork,
         threads: usize,
@@ -225,8 +235,22 @@ pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
     impl FrontierRun for Treach<'_> {
         type Out = bool;
         fn run<S: FrontierEngine>(self, shards: usize) -> bool {
-            let (probe, rest) = probe_blocks(self.tn.num_nodes(), shards);
-            frontier_treach::<S>(self.tn, self.threads, self.oracle, probe, &rest)
+            let (tn, oracle) = (self.tn, self.oracle);
+            let rest: Vec<Range<NodeId>> = word_blocks(1, tn.num_nodes(), shards).collect();
+            let failed = AtomicBool::new(false);
+            par_map_with(&rest, self.threads, S::default, |sweeper, _, block| {
+                if failed.load(Ordering::Relaxed) {
+                    return;
+                }
+                let stats = sweeper.sweep(tn, block.clone(), 0, |_, _, _, _| {});
+                if !block_holds(
+                    stats.reached_bits,
+                    oracle.block_total(tn.graph(), block.clone()),
+                ) {
+                    failed.store(true, Ordering::Relaxed);
+                }
+            });
+            !failed.load(Ordering::Relaxed)
         }
     }
     let run = Treach {
@@ -235,36 +259,6 @@ pub fn treach_holds(tn: &TemporalNetwork, threads: usize) -> bool {
         oracle: &oracle,
     };
     EngineChoice::run(tn, threads, run)
-}
-
-/// Probe-first whole-network `T_reach` over engine `S`. As with
-/// connectivity, the probe block runs through the shared lane-pass core
-/// of [`session`](crate::session); only the remaining blocks sweep
-/// full-width.
-fn frontier_treach<S: FrontierEngine>(
-    tn: &TemporalNetwork,
-    threads: usize,
-    oracle: &StaticReach,
-    probe: std::ops::Range<NodeId>,
-    rest: &[std::ops::Range<NodeId>],
-) -> bool {
-    let (base, width) = (probe.start, probe.len());
-    let counts = reach_counts(tn, &mut BatchSweeper::new(), probe);
-    if !oracle.lanes_match(tn.graph(), base, &counts[..width]) {
-        return false;
-    }
-    let failed = AtomicBool::new(false);
-    let init = || (S::default(), Vec::new());
-    par_map_with(rest, threads, init, |(sweeper, counts), _, block| {
-        if failed.load(Ordering::Relaxed) {
-            return;
-        }
-        wide_reach_counts(tn, sweeper, block.clone(), counts);
-        if !oracle.lanes_match(tn.graph(), block.start, counts) {
-            failed.store(true, Ordering::Relaxed);
-        }
-    });
-    !failed.load(Ordering::Relaxed)
 }
 
 /// Sequential [`treach_holds`] reusing a caller-owned [`SweepScratch`],
@@ -296,22 +290,23 @@ pub fn treach_holds_scratch_traced(
 /// and shared by every trial and worker, and `scratch` keeps the sweep
 /// buffers warm, so a warm trial allocates nothing. Also reports the
 /// engine that **actually answered** — the attribution `experiments
-/// sweep` rows carry. The check probes the first 64 sources with one
-/// lane pass before committing to a full-width sweep; when that probe
-/// alone decides the answer (the overwhelmingly common case on failing
-/// instances, and every case at `n ≤ 64`, where no block remains), the
-/// attribution is [`EngineKind::Batch`], not the engine the density
-/// dispatch picked for the remaining blocks. Only runs that sweep a
-/// full-width block report [`EngineKind::Wide`] / [`EngineKind::Sparse`].
+/// sweep` rows carry. The check runs the [`treach_probe`] on the scratch
+/// bundle's lane-pass sweeper before committing to a full-width sweep;
+/// when that probe alone decides the answer (the overwhelmingly common
+/// case on failing instances, and every case at `n ≤ 64`, where no block
+/// remains), the attribution is [`EngineKind::Batch`], not the engine the
+/// density dispatch picked for the remaining blocks. Only runs that sweep
+/// a full-width block report [`EngineKind::Wide`] /
+/// [`EngineKind::Sparse`]. Those blocks are walked lazily, one after
+/// another on the scratch bundle's engine, so no block list is built.
 #[must_use]
 pub fn treach_holds_scratch_with(
     tn: &TemporalNetwork,
     scratch: &mut SweepScratch,
     oracle: &StaticReach,
 ) -> (bool, EngineKind) {
-    let n = tn.num_nodes();
-    if n <= 1 {
-        return (true, EngineKind::Batch);
+    if let Some(holds) = treach_probe(tn, &mut scratch.batch, oracle) {
+        return (holds, EngineKind::Batch);
     }
     struct TreachScratch<'a> {
         tn: &'a TemporalNetwork,
@@ -321,7 +316,13 @@ pub fn treach_holds_scratch_with(
     impl FrontierRun for TreachScratch<'_> {
         type Out = (bool, EngineKind);
         fn run<S: FrontierEngine>(self, shards: usize) -> Self::Out {
-            frontier_treach_scratch::<S>(self.tn, self.scratch, self.oracle, shards)
+            let (tn, oracle) = (self.tn, self.oracle);
+            let sweeper = S::from_scratch(self.scratch);
+            let holds = word_blocks(1, tn.num_nodes(), shards).all(|block| {
+                let stats = sweeper.sweep(tn, block.clone(), 0, |_, _, _, _| {});
+                block_holds(stats.reached_bits, oracle.block_total(tn.graph(), block))
+            });
+            (holds, S::kind())
         }
     }
     EngineChoice::run(
@@ -333,41 +334,6 @@ pub fn treach_holds_scratch_with(
             oracle,
         },
     )
-}
-
-/// Sequential probe-first `T_reach` over engine `S`, reporting whether the
-/// 64-lane probe alone answered (attributed as a lane pass) or a
-/// full-width block had to sweep. The probe runs through the shared
-/// lane-pass core of [`session`](crate::session) on the scratch bundle's
-/// lane-pass sweeper, and only the remaining blocks (walked lazily, as
-/// [`word_blocks`] yields them) fetch the full-width engine and the
-/// scratch bundle's per-lane count buffer — a warm check allocates
-/// nothing.
-fn frontier_treach_scratch<S: FrontierEngine>(
-    tn: &TemporalNetwork,
-    scratch: &mut SweepScratch,
-    oracle: &StaticReach,
-    shards: usize,
-) -> (bool, EngineKind) {
-    let n = tn.num_nodes();
-    let width = n.min(MAX_LANES);
-    let counts = reach_counts(tn, &mut scratch.batch, 0..width as NodeId);
-    if !oracle.lanes_match(tn.graph(), 0, &counts[..width]) {
-        return (false, EngineKind::Batch);
-    }
-    let mut counts = std::mem::take(&mut scratch.lane_counts);
-    let sweeper = S::from_scratch(scratch);
-    let mut answer = (true, EngineKind::Batch);
-    for block in word_blocks(1, n, shards) {
-        let base = block.start;
-        wide_reach_counts(tn, sweeper, block, &mut counts);
-        answer = (oracle.lanes_match(tn.graph(), base, &counts), S::kind());
-        if !answer.0 {
-            break;
-        }
-    }
-    scratch.lane_counts = counts;
-    answer
 }
 
 #[cfg(test)]
@@ -528,6 +494,85 @@ mod tests {
                 treach_holds(&tn, 2),
                 "seed {seed} n {n} r {r}"
             );
+        }
+    }
+
+    /// Two disjoint cliques on `0..n/2` and `n/2..n` with one uniform
+    /// label in `1..=n` per edge. `break_last` strips every edge out of
+    /// vertex `n − 1` but the one to `n − 2`, which gets the last label:
+    /// journeys from `n − 1` then end at `n − 2`, so `T_reach` fails
+    /// inside the second clique alone.
+    fn two_cliques(n: usize, directed: bool, break_last: bool, seed: u64) -> TemporalNetwork {
+        use ephemeral_rng::{RandomSource, SeedSequence};
+        let mut b = if directed {
+            GraphBuilder::new_directed(n)
+        } else {
+            GraphBuilder::new_undirected(n)
+        };
+        let h = (n / 2) as NodeId;
+        for (lo, hi) in [(0, h), (h, n as NodeId)] {
+            for u in lo..hi {
+                for v in lo..hi {
+                    if u < v || (directed && u != v) {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+        }
+        let g = b.build().unwrap();
+        let (last, lifetime) = ((n - 1) as NodeId, n as Time);
+        let mut rng = SeedSequence::new(seed).rng(4);
+        let labels = LabelAssignment::from_fn(g.num_edges(), |e| {
+            let (u, v) = g.endpoints(e);
+            let leaves_last = u == last || (!directed && v == last);
+            match (break_last && leaves_last, u.min(v) == last - 1) {
+                (false, _) => vec![rng.range_u32(1, lifetime)],
+                (true, true) => vec![lifetime],
+                (true, false) => vec![],
+            }
+        })
+        .unwrap();
+        TemporalNetwork::new(g, labels, lifetime).unwrap()
+    }
+
+    #[test]
+    fn totals_check_matches_scalar_when_static_reach_is_incomplete() {
+        // Totals fall below n² here, so the check must compare each block
+        // with its static total, not with `width · n`. At n = 150 the
+        // probe's sources all lie in the first clique, which holds: the
+        // block after the probe decides, on either answer.
+        for directed in [false, true] {
+            for n in [40usize, 150] {
+                for break_last in [false, true] {
+                    let tn = two_cliques(n, directed, break_last, n as u64);
+                    let g = tn.graph();
+                    let oracle = StaticReach::new(g);
+                    assert_eq!(oracle.total(g), 2 * (n / 2) * (n / 2), "two components");
+                    let scalar = (0..n as NodeId).all(|s| {
+                        let stat = bfs_distances(g, s)
+                            .iter()
+                            .filter(|&&d| d != UNREACHABLE)
+                            .count();
+                        foremost(&tn, s, 0).reached_count() == stat
+                    });
+                    let tag = format!("n {n} directed {directed} broken {break_last}");
+                    assert_eq!(scalar, !break_last, "{tag}");
+                    for threads in [1, 2] {
+                        assert_eq!(treach_holds(&tn, threads), scalar, "{tag}");
+                    }
+                    let mut scratch = SweepScratch::new();
+                    let (holds, engine) = treach_holds_scratch_with(&tn, &mut scratch, &oracle);
+                    assert_eq!(holds, scalar, "{tag}");
+                    let swept = if n <= MAX_LANES {
+                        EngineKind::Batch
+                    } else {
+                        EngineKind::Wide
+                    };
+                    assert_eq!(engine, swept, "{tag}");
+                    let probe = treach_probe(&tn, &mut scratch.batch, &oracle);
+                    assert_eq!(probe, (n <= MAX_LANES).then_some(scalar), "{tag}");
+                }
+            }
         }
     }
 

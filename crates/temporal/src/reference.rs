@@ -1,5 +1,5 @@
 //! Reference (unoptimised) implementations used for differential testing
-//! of the design choices called out in DESIGN.md.
+//! of the production sweeps.
 //!
 //! The production foremost sweep relies on the bucket index built once per
 //! network (`O(M + a)` per source, zero sorting). The reference below

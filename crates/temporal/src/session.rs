@@ -25,10 +25,10 @@
 //! them — bit-identical to a cold sweep after any move sequence.
 //!
 //! The lane-pass core is shared, not copied: the `T_reach` and
-//! connectivity probes of [`reachability`](crate::reachability) route
-//! through [`reach_counts`] and [`block_all_reached`] below, so point
-//! and all-pairs code answer from one semantics contract
-//! (`tests/session_proptests.rs` pins both against the scalar
+//! connectivity probes of [`reachability`](crate::reachability) read one
+//! total from [`block_reached_bits`] below, so point and all-pairs code
+//! answer from one semantics contract (`tests/session_proptests.rs` and
+//! `tests/engine_proptests.rs` pin the lane pass against the scalar
 //! [`foremost`](crate::foremost::foremost) oracle).
 
 use crate::delta::DeltaApply;
@@ -479,64 +479,31 @@ impl FrontierRun for RowSweep<'_> {
     }
 }
 
-/// Per-lane temporal reach counts of one contiguous source block (each
-/// source counts itself), computed by a single lane pass with per-lane
-/// saturation exit — the shared core of the `T_reach` probes in
-/// [`reachability`](crate::reachability).
+/// Ordered `(source, vertex)` pairs the sources of one contiguous block
+/// reach by a journey, each source counting itself: one lane pass with
+/// per-lane saturation exit. This is the shared core of the connectivity
+/// and `T_reach` probes in [`reachability`](crate::reachability). The
+/// block is connected to everyone iff the total is `block.len() · n`, and
+/// preserves reachability iff it equals the block's static total.
 /// Allocation-free once the sweeper is warm.
 ///
 /// # Panics
 /// If `block.len() > MAX_LANES` or any source is out of range.
 #[must_use]
-pub fn reach_counts(
+pub fn block_reached_bits(
     tn: &TemporalNetwork,
     sweeper: &mut BatchSweeper,
     block: Range<NodeId>,
-) -> [usize; MAX_LANES] {
-    let mut counts = [0usize; MAX_LANES];
-    let mut arrivals = [NEVER; MAX_LANES];
-    let mut lanes = [Lane::row(0, NEVER); MAX_LANES];
-    let width = block.len();
-    for (i, s) in block.enumerate() {
-        lanes[i].source = s;
-        counts[i] = 1;
-    }
-    sweeper.sweep_lanes(
-        tn,
-        &lanes[..width],
-        0,
-        &mut arrivals[..width],
-        |_, mut bits, _| {
-            while bits != 0 {
-                counts[bits.trailing_zeros() as usize] += 1;
-                bits &= bits - 1;
-            }
-        },
-    );
-    counts
-}
-
-/// Did every source of `block` reach all `n` vertices? One lane pass
-/// with per-lane saturation exit — the probe of
-/// [`is_temporally_connected`](crate::reachability::is_temporally_connected).
-///
-/// # Panics
-/// As [`reach_counts`].
-#[must_use]
-pub fn block_all_reached(
-    tn: &TemporalNetwork,
-    sweeper: &mut BatchSweeper,
-    block: Range<NodeId>,
-) -> bool {
-    let n = tn.num_nodes();
+) -> usize {
     let width = block.len();
     let mut arrivals = [NEVER; MAX_LANES];
     let mut lanes = [Lane::row(0, NEVER); MAX_LANES];
     for (i, s) in block.enumerate() {
         lanes[i].source = s;
     }
-    let stats = sweeper.sweep_lanes(tn, &lanes[..width], 0, &mut arrivals[..width], |_, _, _| {});
-    stats.reached_bits == width * n
+    sweeper
+        .sweep_lanes(tn, &lanes[..width], 0, &mut arrivals[..width], |_, _, _| {})
+        .reached_bits
 }
 
 #[cfg(test)]
@@ -682,19 +649,22 @@ mod tests {
     fn shared_primitives_match_their_direct_counterparts() {
         let tn = random_network(2, 70, 90);
         let mut sweeper = BatchSweeper::new();
-        let counts = reach_counts(&tn, &mut sweeper, 0..64);
-        for (lane, &count) in counts.iter().take(64).enumerate() {
+        for block in [0..64, 64..70, 5..6] {
+            let scalar: usize = block
+                .clone()
+                .map(|s| foremost(&tn, s, 0).reached_count())
+                .sum();
             assert_eq!(
-                count,
-                foremost(&tn, lane as NodeId, 0).reached_count(),
-                "lane {lane}"
+                block_reached_bits(&tn, &mut sweeper, block.clone()),
+                scalar,
+                "block {block:?}"
             );
         }
-        let all = block_all_reached(&tn, &mut sweeper, 0..64);
-        assert_eq!(
-            all,
-            (0..64).all(|s| foremost(&tn, s, 0).reached_count() == 70)
-        );
+        // A complete network connects every block: the total reads width · n.
+        let g = ephemeral_graph::generators::clique(10, false);
+        let labels = LabelAssignment::single(vec![1; g.num_edges()]).unwrap();
+        let complete = TemporalNetwork::new(g, labels, 1).unwrap();
+        assert_eq!(block_reached_bits(&complete, &mut sweeper, 2..9), 7 * 10);
     }
 
     #[test]

@@ -649,9 +649,6 @@ pub struct SweepScratch {
     /// [`apply_label_move`](crate::delta::DeltaCursor::apply_label_move)
     /// calls allocate nothing.
     pub delta: crate::delta::DeltaCursor,
-    /// Per-lane reach counts of the full-width `T_reach` blocks after the
-    /// probe, kept so a warm check allocates nothing.
-    pub(crate) lane_counts: Vec<usize>,
 }
 
 impl SweepScratch {
